@@ -159,6 +159,9 @@ def parse_config(argv):
     photons = int(merged.get("photons", DEFAULTS["photons"]))
     if cmd == "campaign" and photons < 3:
         raise UsageError(f"--photons must be >= 3, got {photons}")
+    threads = int(merged.get("threads", 1))
+    if threads < 0:
+        raise UsageError(f"--threads must be >= 0 (0: one per CPU), got {threads}")
 
     return RunConfig(
         subcommand=cmd,
@@ -169,7 +172,7 @@ def parse_config(argv):
         res=res,
         photons=photons,
         seed=int(merged.get("seed", 0)),
-        threads=int(merged.get("threads", 1)),
+        threads=threads,
         k=k,
         out=merged.get("out"),
         fmt=merged.get("format", "json"),

@@ -1,11 +1,18 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfsim.adiabatic import (
     DEFAULT_PHOTONS,
     OMEGA_MAX,
+    SITE_CHUNK,
     MeasurementRecord,
     RampSchedule,
+    _propagators,
     bloch_of_state,
     build_schedule,
     evolve,
@@ -145,6 +152,49 @@ def test_adiabatic_limit_slower_is_better():
     assert worst_slow > worst_fast
 
 
+@pytest.mark.parametrize("h", [0.2, 2.0, -2.0])
+def test_batched_final_states_match_per_schedule_propagators(h):
+    params = HopfParams(h)
+    mesh = MeshSpec(6)
+    schedules = [build_schedule(mesh.site_k(site), params) for site in np.ndindex(6, 6, 6)]
+    assert any(s.omega_final == 0 for s in schedules)  # e.g. k = 0: u along z
+    finals = _propagators(schedules)[:, :, 0]
+    for s, psi in zip(schedules, finals):
+        ref = propagator(s) @ np.array([1, 0])
+        assert abs(abs(np.vdot(ref, psi)) ** 2 - 1) <= 1e-12
+
+
+def test_propagator_is_the_step_product_and_phi_a_frame_rotation():
+    # short random schedules whose segments hold a non-integer number of
+    # steps, against the sequential product of exact 2x2 step exponentials
+    rng = np.random.default_rng(5)
+    sx = np.array([[0, 1], [1, 0]])
+    sy = np.array([[0, -1j], [1j, 0]])
+    sz = np.diag([1.0, -1.0])
+    for _ in range(10):
+        s = RampSchedule(
+            phi=rng.uniform(-np.pi, np.pi),
+            delta_start=rng.uniform(-1, 1) * OMEGA_MAX,
+            delta_final=rng.uniform(-1, 1) * OMEGA_MAX,
+            omega_peak=rng.uniform(0, 1) * OMEGA_MAX,
+            omega_final=rng.uniform(0, 1) * OMEGA_MAX,
+            segment_duration=rng.uniform(5e-9, 15e-9),
+        )
+        dt = s.sample_dt
+        mid = (np.arange(int(round(s.duration / dt))) + 0.5) * dt
+        ref = np.eye(2, dtype=complex)
+        for om, ph, de in zip(*s.controls(mid)):
+            v = np.array([om * np.cos(ph), om * np.sin(ph), de])
+            norm = np.linalg.norm(v)
+            gen = (v[0] * sx + v[1] * sy + v[2] * sz) / norm
+            ref = (np.cos(norm * dt) * np.eye(2) - 1j * np.sin(norm * dt) * gen) @ ref
+        u = propagator(s)
+        assert np.abs(u - ref).max() < 1e-12
+        rz = np.diag([np.exp(-0.5j * s.phi), np.exp(0.5j * s.phi)])
+        u0 = propagator(dataclasses.replace(s, phi=0.0))
+        assert np.abs(u - rz @ u0 @ rz.conj().T).max() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # measurements
 
@@ -234,6 +284,44 @@ def test_mle_likelihood_beats_grid_scan():
         assert _loglik(r, rec) <= best.loglik + 1e-9
 
 
+@st.composite
+def pauli_records(draw):
+    shots, successes = {}, {}
+    for b in "xyz":
+        shots[b] = draw(st.integers(1, 400))
+        successes[b] = draw(st.one_of(st.sampled_from([0, shots[b]]),
+                                      st.integers(0, shots[b])))
+    return MeasurementRecord(shots=shots, successes=successes, key=(0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pauli_records())
+def test_mle_closed_form_is_the_likelihood_maximum(rec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = mle_tomography(rec)
+    rhat = np.array([2 * rec.successes[b] / rec.shots[b] - 1 for b in "xyz"])
+    r = res.bloch
+    if (rhat * rhat).sum() <= 1:
+        assert np.array_equal(r, rhat) and res.iterations == 0
+        return
+    assert res.iterations > 0
+    assert abs(np.linalg.norm(r) - 1) <= 1e-12
+    # KKT on the sphere: grad L = 2 mu r with mu >= 0
+    s, n = (np.array([getattr(rec, f)[b] for b in "xyz"]) for f in ("successes", "shots"))
+    grad = (np.divide(s, 1 + r, out=np.zeros(3), where=s > 0)
+            - np.divide(n - s, 1 - r, out=np.zeros(3), where=n > s))
+    mu = grad @ r / 2
+    assert mu >= 0
+    assert np.linalg.norm(grad - 2 * mu * r) <= 1e-9 * np.linalg.norm(grad)
+    pts = np.random.default_rng(0).normal(size=(2000, 3))
+    pts *= (np.random.default_rng(1).uniform(size=2000) ** (1 / 3)
+            / np.linalg.norm(pts, axis=1))[:, None]
+    p = np.clip((1 + pts) / 2, 1e-300, 1 - 1e-16)
+    ll = (s * np.log(p) + (n - s) * np.log1p(-p)).sum(axis=1)
+    assert ll.max() <= res.loglik + 1e-9
+
+
 def test_mle_requires_all_bases():
     rec = MeasurementRecord(
         shots={"x": 0, "y": 5, "z": 5}, successes={"x": 0, "y": 3, "z": 5}, key=(0, 0)
@@ -306,3 +394,49 @@ def test_campaign_stats_shape():
     assert counts.sum() == 64 and len(edges) == len(counts) + 1
     d = stats.to_dict()
     assert set(d) >= {"mean_fidelity", "median_fidelity", "ci95", "per_site"}
+
+
+def test_campaign_threads_identical_across_many_chunks():
+    mesh = MeshSpec(6)  # 216 sites, 27 chunks
+    runs = [run_campaign(P2, mesh, photons_per_site=2000, seed=5, threads=t)
+            for t in (1, 2, 0)]
+    for other in runs[1:]:
+        assert other.field.data.tobytes() == runs[0].field.data.tobytes()
+        assert other.stats.per_site.tobytes() == runs[0].stats.per_site.tobytes()
+
+
+def test_campaign_caps_workers_at_chunks_and_rejects_negative_threads(monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    run_campaign(P2, MeshSpec(4), photons_per_site=300, seed=0, threads=12)
+    assert started == [4**3 // SITE_CHUNK]
+    with pytest.raises(ValueError):
+        run_campaign(P2, MeshSpec(4), photons_per_site=300, seed=0, threads=-1)
+
+
+def test_campaign_matches_per_site_route_and_counts_boundary_share():
+    # h=1: three gapless sites; the boundary share is over the other 61
+    params, mesh = HopfParams(1.0), MeshSpec(4)
+    result = run_campaign(params, mesh, photons_per_site=300, seed=2)
+    on_sphere = []
+    for index, site in enumerate(np.ndindex(4, 4, 4)):
+        if not np.isfinite(result.stats.per_site[site]):
+            continue
+        k = mesh.site_k(site)
+        psi = evolve(build_schedule(k, params), [1, 0])
+        rec = simulate_measurements(psi, 300, seed=(2, index))
+        res = mle_tomography(rec, reference=ground_state(k, params))
+        np.testing.assert_allclose(result.field.site_state(site), res.rho, rtol=0, atol=1e-12)
+        assert abs(result.stats.per_site[site] - res.fidelity) <= 1e-12
+        on_sphere.append(res.iterations > 0)
+    assert len(on_sphere) == 61 and 0 < sum(on_sphere) < 61
+    assert result.stats.boundary_share == sum(on_sphere) / 61
+    assert result.stats.to_dict()["boundary_share"] == result.stats.boundary_share

@@ -176,3 +176,12 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
     printed = capsys.readouterr().out.strip()
     assert printed.startswith(str(tmp_path / "outputs"))
     assert os.path.exists(printed)
+
+
+def test_negative_threads_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(UsageError):
+        cli.parse_config(["campaign", "--h", "2", "--threads", "-3"])
+    assert cli.parse_config(["campaign", "--h", "2", "--threads", "0"]).threads == 0
+    assert run_cli(["campaign", "--h", "2", "--n", "4", "--threads", "-3"], tmp_path) == 2
+    assert list(tmp_path.iterdir()) == []
+    capsys.readouterr()
