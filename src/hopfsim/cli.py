@@ -414,7 +414,7 @@ def dispatch(cfg):
     except HopfError as err:
         detail = {
             k: getattr(err, k)
-            for k in ("site", "axis", "layer", "flux", "k")
+            for k in ("site", "axis", "layer", "flux", "k", "windings")
             if getattr(err, k, None) is not None
         }
         doc = {"error": type(err).__name__, "message": str(err)}

@@ -51,6 +51,16 @@ class ResolutionTooCoarse(HopfError):
     """Preimage curve segments could not be chained into closed loops."""
 
 
+class WindingLoops(HopfError, ValueError):
+    """A preimage loop winds the torus, so its intrinsic linking number with
+    another loop is undefined; ``windings`` holds both loops' integer winding
+    vectors."""
+
+    def __init__(self, message, windings=None):
+        super().__init__(message)
+        self.windings = windings
+
+
 class CurvesTooClose(HopfError):
     """Two polylines approach closer than the separation tolerance."""
 

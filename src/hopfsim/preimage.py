@@ -5,14 +5,20 @@ ground-state spin field equals s.  It is extracted as the intersection of
 the two level sets {S_e1(k) = s_e1} and {S_e2(k) = s_e2} (e1, e2 the two
 coordinate axes other than the dominant component of s), marching over a
 tetrahedral decomposition of an auxiliary fine grid, with the dominant
-component's sign disambiguating the antipodal solution.  Loops are embedded
-in R3 through the S3 map and a stereographic chart, where pairwise Gauss
-linking numbers are evaluated segment-pair exactly.
+component's sign disambiguating the antipodal solution.  The marching is one
+array pass over every straddling cell x 6 Kuhn tetrahedra, driven by a
+16-row table of cut edges keyed by a tetrahedron's sign pattern; the grid of
+Bloch vectors is sampled once for all targets of a link matrix.  Loops are
+embedded in R3 through the S3 map and a stereographic chart, where pairwise
+Gauss linking numbers are evaluated segment-pair exactly; on the torus they
+are lifted to the universal cover and linked against periodic images, which
+needs loops that do not wind the torus (``WindingLoops`` otherwise).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
@@ -24,9 +30,11 @@ from .errors import (
     CurvesTooClose,
     NotClosed,
     ResolutionTooCoarse,
+    WindingLoops,
 )
 
 TOL_SEP = 1e-3
+_GAUSS_ROWS = 64  # vertices of the first curve per block of pair arrays
 CURVE_TOL = 0.05
 _LEVEL_NUDGE = (1.0e-9, 1.37e-9)  # dodges exact-zero grid values on symmetry planes
 
@@ -135,6 +143,38 @@ def _kuhn_tets():
 
 
 _KUHN_TETS = _kuhn_tets()
+_TET_OFFSETS = np.array(_KUHN_TETS)  # (6 tets, 4 corners, 3)
+_TET_CORNERS = _TET_OFFSETS @ (4, 2, 1)  # cube corner of each: dx * 4 + dy * 2 + dz
+
+
+def _tet_edge_table():
+    # for each sign pattern of f > 0 over a tet's corners (bit i = corner i):
+    # the edges {f = 0} cuts, in cycle order around the cut polygon, and the
+    # corners of the face between consecutive cut edges.  One or three
+    # positive corners cut the lone corner's edges (others ascending), padded
+    # to four sides by repeating the first edge; two cut (a,c),(a,d),(b,d),(b,c)
+    # for a < b positive and c < d not.
+    edges = np.zeros((16, 4, 2), dtype=int)
+    faces = np.zeros((16, 4, 3), dtype=int)
+    for key in range(1, 15):
+        up = [i for i in range(4) if key >> i & 1]
+        down = [i for i in range(4) if not key >> i & 1]
+        if len(up) == 2:
+            (a, b), (c, d) = up, down
+            sides = [(a, c), (a, d), (b, d), (b, c)]
+        else:
+            (lone,) = up if len(up) == 1 else down
+            sides = [(lone, o) for o in range(4) if o != lone]
+            sides.append(sides[0])
+        edges[key] = sides
+        for k in range(4):
+            corners = sorted(set(sides[k]) | set(sides[(k + 1) % 4]))
+            if len(corners) == 3:  # the padded side joins an edge to itself
+                faces[key, k] = corners
+    return edges, faces
+
+
+_TET_EDGES, _TET_FACES = _tet_edge_table()
 
 
 def preimage_contours(params, target, res=64, refine=1):
@@ -164,9 +204,7 @@ def preimage_contours(params, target, res=64, refine=1):
     axis = int(np.argmax(np.abs(s)))
     e1, e2 = (axis + 1) % 3, (axis + 2) % 3
 
-    grid = TWO_PI * np.arange(res) / res
-    kx, ky, kz = np.meshgrid(grid, grid, grid, indexing="ij")
-    bloch = model.bloch_ground(np.stack([kx, ky, kz], axis=-1), params)
+    bloch = _bloch_grid(params, res)
     phi1 = bloch[..., e1] - (s[e1] + _LEVEL_NUDGE[0])
     phi2 = bloch[..., e2] - (s[e2] + _LEVEL_NUDGE[1])
 
@@ -192,91 +230,86 @@ def preimage_contours(params, target, res=64, refine=1):
     return out
 
 
+@lru_cache(maxsize=1)
+def _bloch_grid(params, res):
+    """Ground-state Bloch vectors on the res^3 marching grid (read-only).
+
+    Cached for the last (params, res), so the targets of one link_matrix
+    call share one sampling."""
+    grid = TWO_PI * np.arange(res) / res
+    k = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1)
+    bloch = model.bloch_ground(k, params)
+    bloch.flags.writeable = False
+    return bloch
+
+
 def _march_segments(phi1, phi2, res):
     """Per-tetrahedron intersection segments of the two level sets.
 
     Returns a list of (point1, face1, point2, face2) with points in grid
     units and faces keyed by the sorted global ids of the three grid
-    vertices spanning the tetrahedron face holding that endpoint.
+    vertices spanning the tetrahedron face holding that endpoint.  Segments
+    come in cell-major order (cells as ``np.argwhere`` lists them), Kuhn
+    tetrahedra in ``_KUHN_TETS`` order within a cell.
+
+    All straddling cells x 6 tetrahedra are marched as one array pass.  A
+    tetrahedron's sign pattern of ``phi1 > 0`` (4 bits) picks its row of
+    ``_TET_EDGES``: the edges cut by {phi1 = 0}, in cycle order around the
+    cut polygon (a triangle padded by repeating its first edge, or a
+    quadrilateral).  ``phi2`` is interpolated at the cut points; a segment
+    joins the two crossings of {phi2 = 0} along the polygon's sides, each on
+    the face spanned by the corners of its side's two edges.
     """
-
-    def corner(f, dx, dy, dz):
-        arr = f
-        if dx:
-            arr = np.roll(arr, -1, axis=0)
-        if dy:
-            arr = np.roll(arr, -1, axis=1)
-        if dz:
-            arr = np.roll(arr, -1, axis=2)
-        return arr
-
-    offsets = [(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
-    c1 = np.stack([corner(phi1, *o) for o in offsets])
-    c2 = np.stack([corner(phi2, *o) for o in offsets])
-    straddle = (
-        (c1.min(axis=0) < 0) & (c1.max(axis=0) > 0)
-        & (c2.min(axis=0) < 0) & (c2.max(axis=0) > 0)
-    )
+    # a cell straddles both level sets when each field has a corner below 0
+    # and one above 0
+    straddle = np.ones(phi1.shape, dtype=bool)
+    for phi in (phi1, phi2):
+        for side in (phi < 0, phi > 0):
+            for ax in range(3):  # any over the 2x2x2 corners, one axis at a time
+                side |= np.roll(side, -1, axis=ax)
+            straddle &= side
     cells = np.argwhere(straddle)
 
-    tet_corner_idx = [[offsets.index(o) for o in tet] for tet in _KUHN_TETS]
+    # grid ids of each cell's 8 corners (dx slowest), then the corner values
+    # of every (cell, tet) row, cell-major
+    cube = np.array([(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
+    wrapped = (cells[:, None, :] + cube) % res
+    ids = (wrapped[..., 0] * res + wrapped[..., 1]) * res + wrapped[..., 2]
+    f = phi1.ravel()[ids][:, _TET_CORNERS].reshape(-1, 4)
+    g = phi2.ravel()[ids][:, _TET_CORNERS].reshape(-1, 4)
 
-    def gid(ix, iy, iz):
-        return ((ix % res) * res + (iy % res)) * res + (iz % res)
+    key = (f > 0) @ (1 << np.arange(4))
+    rows = np.nonzero((key > 0) & (key < 15))[0]
+    key = key[rows]
+    cell, tet = rows // 6, rows % 6
+    edges = _TET_EDGES[key]  # (m tets, 4 sides, 2 ends)
+    pick = rows[:, None, None], edges
+    fe, ge = f[pick], g[pick]
+    pe = (cells[cell, None, None, :] + _TET_OFFSETS[tet[:, None, None], edges]).astype(float)
+    t = fe[..., 0] / (fe[..., 0] - fe[..., 1])  # ends differ in sign: no 0/0
+    pts = pe[..., 0, :] + t[..., None] * (pe[..., 1, :] - pe[..., 0, :])
+    gv = ge[..., 0] + t * (ge[..., 1] - ge[..., 0])
 
-    segments = []
-    for cx, cy, cz in cells:
-        for tet, cidx in zip(_KUHN_TETS, tet_corner_idx):
-            pos = np.array([(cx + o[0], cy + o[1], cz + o[2]) for o in tet], float)
-            ids = [gid(cx + o[0], cy + o[1], cz + o[2]) for o in tet]
-            f = np.array([c1[i, cx, cy, cz] for i in cidx])
-            g = np.array([c2[i, cx, cy, cz] for i in cidx])
-            seg = _tet_segment(pos, ids, f, g)
-            if seg is not None:
-                segments.append(seg)
-    return segments
+    # side k of the cut polygon runs from cut edge k to cut edge k + 1
+    above = gv > 0
+    crosses = above != np.roll(above, -1, axis=1)
+    kept = np.nonzero(crosses.sum(axis=1) == 2)[0]
+    j, side = np.nonzero(crosses[kept])  # two sides per kept tet, ascending
+    j = kept[j]
+    nxt = (side + 1) % 4
+    g0, g1 = gv[j, side], gv[j, nxt]
+    u = g0 / (g0 - g1)
+    p0 = pts[j, side]
+    point = (p0 + u[:, None] * (pts[j, nxt] - p0)).reshape(-1, 2, 3)
+    corners = _TET_CORNERS[tet[j, None], _TET_FACES[key[j], side]]
+    faces = np.sort(ids[cell[j, None], corners], axis=1).reshape(-1, 2, 3)
 
-
-def _tet_segment(pos, ids, f, g):
-    pos_mask = f > 0
-    npos = int(pos_mask.sum())
-    if npos in (0, 4):
-        return None
-    if npos in (1, 3):
-        lone = int(np.argmax(pos_mask)) if npos == 1 else int(np.argmin(pos_mask))
-        others = [i for i in range(4) if i != lone]
-        order = [(lone, others[0]), (lone, others[1]), (lone, others[2])]
-    else:
-        a, b = [int(i) for i in np.nonzero(pos_mask)[0]]
-        c, d = [int(i) for i in np.nonzero(~pos_mask)[0]]
-        order = [(a, c), (a, d), (b, d), (b, c)]
-
-    pts, gvals, edges = [], [], []
-    for i, j in order:
-        t = f[i] / (f[i] - f[j])
-        pts.append(pos[i] + t * (pos[j] - pos[i]))
-        gvals.append(g[i] + t * (g[j] - g[i]))
-        edges.append((ids[i], ids[j]))
-
-    crossings = []
-    m = len(pts)
-    for i in range(m):
-        j = (i + 1) % m
-        gi, gj = gvals[i], gvals[j]
-        if (gi > 0) == (gj > 0):
-            continue
-        t = gi / (gi - gj)
-        point = pts[i] + t * (np.asarray(pts[j]) - np.asarray(pts[i]))
-        fkey = tuple(sorted(set(edges[i]) | set(edges[j])))
-        if len(fkey) != 3:
-            return None  # degenerate: crossing pinned to a tet edge
-        crossings.append((point, fkey))
-    if len(crossings) != 2:
-        return None
-    (p1, f1), (p2, f2) = crossings
-    if np.linalg.norm(p1 - p2) < 1e-12 or f1 == f2:
-        return None
-    return (p1, f1, p2, f2)
+    # a g value of exactly 0 at a cut point puts both crossings on that point
+    good = np.linalg.norm(point[:, 0] - point[:, 1], axis=1) >= 1e-12
+    return [
+        (point[i, 0], tuple(f1), point[i, 1], tuple(f2))
+        for i, (f1, f2) in zip(np.nonzero(good)[0].tolist(), faces[good].tolist())
+    ]
 
 
 def _chain_segments(segments):
@@ -472,20 +505,31 @@ def gauss_linking_sum(a, b):
     map sweeps on the unit sphere; the total divided by 4*pi is the linking
     number for disjoint closed curves.
     """
-    p1 = a.vertices
-    p2 = np.roll(p1, -1, axis=0)
-    q1 = b.vertices
-    q2 = np.roll(q1, -1, axis=0)
-
-    def unit(v):
-        return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-    c1 = unit(q1[None, :, :] - p1[:, None, :])
-    c2 = unit(q1[None, :, :] - p2[:, None, :])
-    c3 = unit(q2[None, :, :] - p2[:, None, :])
-    c4 = unit(q2[None, :, :] - p1[:, None, :])
-    omega = _spherical_quad_area(c1, c2, c3, c4)
+    # unit chords from vertices of a to every vertex of b, with the first
+    # vertex of each repeated at its end: the four corners of each segment
+    # pair's quadrilateral are one chord array shifted by a vertex along a
+    # (c2), along both (c3) and along b (c4).  Rows of a go in blocks, which
+    # bounds the temporaries; omega is summed whole, in one fixed order.
+    p = np.vstack([a.vertices, a.vertices[:1]])
+    q = np.vstack([b.vertices, b.vertices[:1]])
+    omega = np.empty((len(a), len(b)))
+    for i in range(0, len(a), _GAUSS_ROWS):
+        chord = q[None, :, :] - p[i:i + _GAUSS_ROWS + 1, None, :]
+        chord /= np.linalg.norm(chord, axis=-1, keepdims=True)
+        omega[i:i + _GAUSS_ROWS] = _spherical_quad_area(
+            chord[:-1, :-1], chord[1:, :-1], chord[1:, 1:], chord[:-1, 1:]
+        )
     return float(omega.sum()) / (4.0 * np.pi)
+
+
+def _check_separation(a, b, tol_sep):
+    """Raise CurvesTooClose if a vertex of a lies within tol_sep of one of b."""
+    dmin = min(
+        np.sqrt(((a.vertices[i:i + _GAUSS_ROWS, None, :] - b.vertices) ** 2).sum(-1)).min()
+        for i in range(0, len(a), _GAUSS_ROWS)
+    )
+    if dmin < tol_sep:
+        raise CurvesTooClose(f"curves approach to {dmin:.2e} < tol_sep={tol_sep:g}")
 
 
 def gauss_linking_number(a, b, tol_sep=TOL_SEP):
@@ -503,13 +547,7 @@ def gauss_linking_number(a, b, tol_sep=TOL_SEP):
     """
     _closed_r3(a, "first curve")
     _closed_r3(b, "second curve")
-    dmin = np.sqrt(
-        ((a.vertices[:, None, :] - b.vertices[None, :, :]) ** 2).sum(-1)
-    ).min()
-    if dmin < tol_sep:
-        raise CurvesTooClose(
-            f"curves approach to {dmin:.2e} < tol_sep={tol_sep:g}"
-        )
+    _check_separation(a, b, tol_sep)
     raw = gauss_linking_sum(a, b)
     value = int(np.rint(raw))
     return LinkingNumber(value, raw - value)
@@ -549,9 +587,10 @@ def linking_number_t3(a, b, tol_sep=TOL_SEP):
     va, wa = unwrap_t3(a)
     vb, wb = unwrap_t3(b)
     if wa.any() or wb.any():
-        raise ValueError(
+        raise WindingLoops(
             f"loops wind the torus (windings {wa.tolist()}, {wb.tolist()}); "
-            "intrinsic linking needs zero-winding loops"
+            "intrinsic linking needs zero-winding loops",
+            windings=(wa.tolist(), wb.tolist()),
         )
     la = Polyline(va, "R3", True)
     lo_a, hi_a = va.min(axis=0), va.max(axis=0)
@@ -567,13 +606,7 @@ def linking_number_t3(a, b, tol_sep=TOL_SEP):
                 if np.any(hi_b + shift < lo_a) or np.any(lo_b + shift > hi_a):
                     continue  # a separating plane exists: exactly unlinked
                 img = Polyline(vb + shift, "R3", True)
-                dmin = np.sqrt(
-                    ((la.vertices[:, None, :] - img.vertices[None, :, :]) ** 2).sum(-1)
-                ).min()
-                if dmin < tol_sep:
-                    raise CurvesTooClose(
-                        f"curves approach to {dmin:.2e} < tol_sep={tol_sep:g}"
-                    )
+                _check_separation(la, img, tol_sep)
                 raw += gauss_linking_sum(la, img)
     value = int(np.rint(raw))
     return LinkingNumber(value, raw - value)

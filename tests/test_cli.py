@@ -108,6 +108,24 @@ def test_link_artifact(tmp_path, capsys):
     assert abs(doc["linking"][0][1]) == 1 and doc["absent"] == []
 
 
+def test_link_with_winding_loops_is_a_typed_error(tmp_path, capsys):
+    # at h=2 this target's preimage winds the torus along kz
+    out = tmp_path / "link.json"
+    code = run_cli(
+        ["link", "--h", "2", "--spins", "0.6,0,0.8;0,0.6,0.8", "--out", str(out)],
+        tmp_path,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    doc = json.loads(lines[0])
+    assert doc["error"] == "WindingLoops"
+    windings = doc["detail"]["windings"]
+    assert len(windings) == 2 and any(any(w) for w in windings)
+    assert not out.exists()
+
+
 def test_campaign_artifacts_and_stats(tmp_path, capsys):
     stem = tmp_path / "camp"
     code = run_cli(

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hopfsim import model, preimage
 from hopfsim.bzgrid import MeshSpec, sample_state_field
-from hopfsim.errors import ChartExhausted, CurvesTooClose, NotClosed
+from hopfsim.errors import ChartExhausted, CurvesTooClose, NotClosed, WindingLoops
 from hopfsim.model import HopfParams, bloch_ground
 from hopfsim.preimage import (
+    _LEVEL_NUDGE,
     Polyline,
+    _bloch_grid,
+    _march_segments,
+    _spherical_quad_area,
     embed_r3,
     epsilon_neighborhood,
     gauss_linking_number,
@@ -18,6 +25,9 @@ from hopfsim.preimage import (
     preimage_contours,
     unwrap_t3,
 )
+
+# a kernel that divides by zero in padded or masked slots fails the tests
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 TWO_PI = 2 * np.pi
 
@@ -109,6 +119,118 @@ def test_preimage_closure_mod_2pi():
     gap = (gap + np.pi) % TWO_PI - np.pi
     cell = TWO_PI / 32 * np.sqrt(3)
     assert np.linalg.norm(gap) <= cell
+
+
+def _reference_tet_segment(pos, ids, f, g):
+    # scalar marching of one tetrahedron: cut the edges {f = 0} crosses, in
+    # cycle order around the cut polygon, then join the polygon's two
+    # crossings of {g = 0}
+    pos_mask = f > 0
+    npos = int(pos_mask.sum())
+    if npos in (0, 4):
+        return None
+    if npos in (1, 3):
+        lone = int(np.argmax(pos_mask)) if npos == 1 else int(np.argmin(pos_mask))
+        order = [(lone, o) for o in range(4) if o != lone]
+    else:
+        a, b = [int(i) for i in np.nonzero(pos_mask)[0]]
+        c, d = [int(i) for i in np.nonzero(~pos_mask)[0]]
+        order = [(a, c), (a, d), (b, d), (b, c)]
+    pts, gvals, edges = [], [], []
+    for i, j in order:
+        t = f[i] / (f[i] - f[j])
+        pts.append(pos[i] + t * (pos[j] - pos[i]))
+        gvals.append(g[i] + t * (g[j] - g[i]))
+        edges.append((ids[i], ids[j]))
+    crossings = []
+    for i in range(len(pts)):
+        j = (i + 1) % len(pts)
+        if (gvals[i] > 0) == (gvals[j] > 0):
+            continue
+        t = gvals[i] / (gvals[i] - gvals[j])
+        fkey = tuple(sorted(set(edges[i]) | set(edges[j])))
+        if len(fkey) != 3:
+            return None
+        crossings.append((pts[i] + t * (pts[j] - pts[i]), fkey))
+    if len(crossings) != 2:
+        return None
+    (p1, f1), (p2, f2) = crossings
+    if np.linalg.norm(p1 - p2) < 1e-12 or f1 == f2:
+        return None
+    return (p1, f1, p2, f2)
+
+
+def _reference_march(phi1, phi2, res):
+    offsets = [(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
+    c1 = np.stack([np.roll(phi1, (-dx, -dy, -dz), axis=(0, 1, 2)) for dx, dy, dz in offsets])
+    c2 = np.stack([np.roll(phi2, (-dx, -dy, -dz), axis=(0, 1, 2)) for dx, dy, dz in offsets])
+    straddle = (c1.min(0) < 0) & (c1.max(0) > 0) & (c2.min(0) < 0) & (c2.max(0) > 0)
+    segments = []
+    for cell in np.argwhere(straddle):
+        for tet in preimage._KUHN_TETS:
+            cidx = [offsets.index(o) for o in tet]
+            corners = cell + np.array(tet)
+            pos = corners.astype(float)
+            ids = [int((x % res * res + y % res) * res + z % res) for x, y, z in corners]
+            seg = _reference_tet_segment(
+                pos, ids, c1[cidx, cell[0], cell[1], cell[2]], c2[cidx, cell[0], cell[1], cell[2]]
+            )
+            if seg is not None:
+                segments.append(seg)
+    return segments
+
+
+def _level_sets(h, target, res):
+    s = np.asarray(target, float) / np.linalg.norm(target)
+    axis = int(np.argmax(np.abs(s)))
+    e1, e2 = (axis + 1) % 3, (axis + 2) % 3
+    bloch = _bloch_grid(HopfParams(h), res)
+    return bloch[..., e1] - (s[e1] + _LEVEL_NUDGE[0]), bloch[..., e2] - (s[e2] + _LEVEL_NUDGE[1])
+
+
+def _assert_same_segments(h, target, res):
+    phi1, phi2 = _level_sets(h, target, res)
+    got = _march_segments(phi1, phi2, res)
+    want = _reference_march(phi1, phi2, res)
+    assert len(got) == len(want)
+    for (p1, f1, p2, f2), (q1, g1, q2, g2) in zip(got, want):
+        assert np.array_equal(p1, q1) and np.array_equal(p2, q2)
+        assert f1 == g1 and f2 == g2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h=st.sampled_from([0.5, -0.5, 2.0, -2.0, 2.9, 0.0]),
+    res=st.integers(16, 24),
+    v=st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+)
+def test_march_matches_scalar_reference(h, res, v):
+    _assert_same_segments(h, v, res)
+
+
+@pytest.mark.parametrize("h", [2.0, 0.0])
+@pytest.mark.parametrize(
+    "target", [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+)
+def test_march_matches_scalar_reference_on_axis_targets(h, target):
+    # axis targets put both level sets on symmetry planes of the model
+    _assert_same_segments(h, target, 16)
+
+
+def test_bloch_grid_sampled_once_per_link_matrix(monkeypatch):
+    grids = []
+    original = model.bloch_ground
+
+    def counting(k, params):
+        if np.ndim(k) == 4:
+            grids.append(np.shape(k))
+        return original(k, params)
+
+    monkeypatch.setattr(model, "bloch_ground", counting)
+    _bloch_grid.cache_clear()
+    link_matrix(HopfParams(2.9), [(1, 0, 0), (0, 1, 0), (0, 0, -1)], res=16)
+    assert grids == [(16, 16, 16, 3)]
+    assert not _bloch_grid(HopfParams(2.9), 16).flags.writeable
 
 
 def test_preimage_res_validation():
@@ -256,6 +378,41 @@ def test_unwrap_t3_windings():
     assert w.tolist() == [0, 0, 0]
     with pytest.raises(ValueError):
         linking_number_t3(winding, small)
+
+
+def test_linking_t3_refuses_winding_loops_with_a_typed_error():
+    t = np.linspace(0, TWO_PI, 40, endpoint=False)
+    winding = Polyline(np.stack([1 + 0 * t, 0.5 + 0 * t, t], axis=1), "T3")
+    small = Polyline(
+        np.stack([0.3 * np.cos(t) + 1, 0.3 * np.sin(t) + 1, 1 + 0 * t], axis=1), "T3"
+    )
+    with pytest.raises(WindingLoops) as exc:
+        linking_number_t3(small, winding)
+    assert exc.value.windings == ([0, 0, 0], [0, 0, 1])
+
+
+def _four_chord_gauss_sum(a, b):
+    # the Gauss sum with each quadrilateral corner's chords normalized apart
+    p1, q1 = a.vertices, b.vertices
+    p2, q2 = np.roll(p1, -1, axis=0), np.roll(q1, -1, axis=0)
+
+    def unit(v):
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    c1 = unit(q1[None, :, :] - p1[:, None, :])
+    c2 = unit(q1[None, :, :] - p2[:, None, :])
+    c3 = unit(q2[None, :, :] - p2[:, None, :])
+    c4 = unit(q2[None, :, :] - p1[:, None, :])
+    return float(_spherical_quad_area(c1, c2, c3, c4).sum()) / (4.0 * np.pi)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gauss_sum_matches_four_chord_formula(seed):
+    rng = np.random.default_rng(seed)
+    na, nb = rng.integers(3, 40, size=2)
+    a = Polyline(np.cumsum(rng.normal(size=(na, 3)), axis=0), "R3")
+    b = Polyline(np.cumsum(rng.normal(size=(nb, 3)), axis=0) + rng.normal(size=3), "R3")
+    assert abs(gauss_linking_sum(a, b) - _four_chord_gauss_sum(a, b)) <= 1e-12
 
 
 def test_linking_t3_matches_r3_route_in_single_cover_phase():
