@@ -233,7 +233,7 @@ def coverage_fraction(vectors, bins):
 
 
 # ---------------------------------------------------------------------------
-# serialization (field JSON schema and spin-texture CSV)
+# serialization (field JSON schema and spin-texture rows)
 
 def field_to_dict(f):
     """JSON-ready dict: mesh size, h, provenance and flat row-major entries.
@@ -270,13 +270,6 @@ def field_from_dict(d):
     )
 
 
-def save_field(f, path):
-    import json
-
-    with open(path, "w") as fh:
-        json.dump(field_to_dict(f), fh)
-
-
 def load_field(path):
     import json
 
@@ -290,18 +283,3 @@ def texture_rows(f):
     n = f.n
     j = np.indices((n, n, n)).reshape(3, -1).T
     return np.column_stack([j, s])
-
-
-def save_texture_csv(f, path):
-    rows = texture_rows(f)
-    with open(path, "w") as fh:
-        fh.write("jx,jy,jz,sx,sy,sz\n")
-        for r in rows:
-            fh.write(
-                f"{int(r[0])},{int(r[1])},{int(r[2])},"
-                f"{float(r[3])!r},{float(r[4])!r},{float(r[5])!r}\n"
-            )
-
-
-def load_texture_csv(path):
-    return np.loadtxt(path, delimiter=",", skiprows=1)

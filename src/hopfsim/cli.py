@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -26,21 +26,22 @@ import numpy as np
 from . import adiabatic, bzgrid, invariants, model, preimage
 from .errors import HopfError, UsageError
 
-DEFAULTS = {"n": 10, "photons": 93000, "seed": 0, "res": 64, "format": "json",
-            "threads": 1, "eps": None}
-
 OUTPUT_DIR_ENV = "HOPF_OUTPUT_DIR"
+
+_TEXTURE_COLUMNS = ["jx", "jy", "jz", "sx", "sy", "sz"]
 
 
 @dataclass
 class RunConfig:
+    """A resolved command line; each field's default is the flag's default."""
+
     subcommand: str
     h: list = dc_field(default_factory=list)
-    n: list = dc_field(default_factory=list)
+    n: list = dc_field(default_factory=lambda: [10])
     spins: list = dc_field(default_factory=list)
     eps: float | None = None
     res: int = 64
-    photons: int = 93000
+    photons: int = adiabatic.DEFAULT_PHOTONS
     seed: int = 0
     threads: int = 1
     k: tuple | None = None
@@ -52,7 +53,7 @@ class RunConfig:
 def _parse_vec(text):
     try:
         parts = [float(x) for x in text.split(",")]
-    except ValueError:
+    except (AttributeError, ValueError):
         raise UsageError(f"--spin/--k expects 'x,y,z', got {text!r}")
     if len(parts) != 3:
         raise UsageError(f"--spin/--k expects 3 components, got {text!r}")
@@ -109,75 +110,79 @@ def _build_parser():
     return parser
 
 
+def _read_config(path):
+    """The flag values held in a --config file; malformed content is a usage error."""
+    with open(path) as fh:
+        try:
+            values = json.load(fh)
+        except ValueError as err:
+            raise UsageError(f"--config {path} is not valid JSON: {err}") from None
+    if not isinstance(values, dict):
+        raise UsageError(f"--config {path} must hold a JSON object")
+    return values
+
+
 def parse_config(argv):
-    """argv -> validated RunConfig; config-file values are overridden by flags."""
-    args = _build_parser().parse_args(argv)
-    provided = {k: v for k, v in vars(args).items() if k != "subcommand"}
+    """argv -> validated RunConfig; config-file values are overridden by flags.
 
-    file_values = {}
-    if "config" in provided:
-        with open(provided.pop("config")) as fh:
-            file_values = json.load(fh)
-
-    merged = {**DEFAULTS, **file_values, **provided}
-    cmd = args.subcommand
+    A value set neither by a flag nor in the config file keeps its RunConfig
+    default.
+    """
+    given = vars(_build_parser().parse_args(argv))
+    if "config" in given:
+        given = {**_read_config(given.pop("config")), **given}
+    if "format" in given:
+        given["fmt"] = given.pop("format")
 
     spins = []
-    if merged.get("spins"):
-        spins += [_parse_vec(tok) for tok in str(merged["spins"]).split(";") if tok]
-    if merged.get("spin"):
-        raw = merged["spin"]
+    if given.get("spins"):
+        spins += [_parse_vec(tok) for tok in str(given["spins"]).split(";") if tok]
+    if given.get("spin"):
+        raw = given["spin"]
         spins += [_parse_vec(t) for t in (raw if isinstance(raw, list) else [raw])]
-    for s in spins:
+    given["spins"] = spins
+    if given.get("k"):
+        given["k"] = _parse_vec(given["k"])
+    for key in ("h", "n"):
+        if key in given and not isinstance(given[key], list):
+            given[key] = [given[key]]
+    names = {f.name for f in fields(RunConfig)}
+    cfg = RunConfig(**{k: v for k, v in given.items() if k in names})
+    cmd = cfg.subcommand
+
+    for s in cfg.spins:
         norm = np.linalg.norm(s)
         if abs(norm - 1.0) > 1e-6:
             raise UsageError(f"--spin {s} is not a unit vector (|s|={norm:.4f})")
-    if cmd in ("preimage", "neighborhood", "link") and not spins:
+    if cmd in ("preimage", "neighborhood", "link") and not cfg.spins:
         raise UsageError(f"--spin is required for '{cmd}'")
+    if cmd == "neighborhood" and not (cfg.h or cfg.field_path):
+        raise UsageError("'neighborhood' needs --h (or --field)")
 
-    eps = merged.get("eps")
-    if eps is not None:
-        if cmd != "neighborhood":
-            raise UsageError(f"--eps is only valid for 'neighborhood', not '{cmd}'")
-        if not 0 < eps <= 2:
-            raise UsageError(f"--eps must be in (0, 2], got {eps}")
-
-    hs = merged.get("h")
-    hs = hs if isinstance(hs, list) else [hs] if hs is not None else []
-    ns = merged.get("n", DEFAULTS["n"])
-    ns = ns if isinstance(ns, list) else [ns]
-    for n in ns:
-        if n < 4:
-            raise UsageError(f"--n must be >= 4, got {n}")
-    if cmd == "scaling" and any(v < 4 for v in ns):
-        raise UsageError("--n values must be >= 4")
-
-    k = _parse_vec(merged["k"]) if merged.get("k") else None
-    res = int(merged.get("res", DEFAULTS["res"]))
-    if cmd in ("preimage", "link") and res < 16:
-        raise UsageError(f"--res must be >= 16, got {res}")
-    photons = int(merged.get("photons", DEFAULTS["photons"]))
-    if cmd == "campaign" and photons < 3:
-        raise UsageError(f"--photons must be >= 3, got {photons}")
-    threads = int(merged.get("threads", 1))
-    if threads < 0:
-        raise UsageError(f"--threads must be >= 0 (0: one per CPU), got {threads}")
-
-    return RunConfig(
-        subcommand=cmd,
-        h=hs,
-        n=ns,
-        spins=spins,
-        eps=eps,
-        res=res,
-        photons=photons,
-        seed=int(merged.get("seed", 0)),
-        threads=threads,
-        k=k,
-        out=merged.get("out"),
-        fmt=merged.get("format", "json"),
-        field_path=merged.get("field_path"),
-    )
+    # values from a config file arrive untyped
+    try:
+        if cfg.eps is not None:
+            if cmd != "neighborhood":
+                raise UsageError(f"--eps is only valid for 'neighborhood', not '{cmd}'")
+            if not 0 < cfg.eps <= 2:
+                raise UsageError(f"--eps must be in (0, 2], got {cfg.eps}")
+        for h in cfg.h:
+            model.HopfParams(h)
+        cfg.n = [int(n) for n in cfg.n]
+        for n in cfg.n:
+            if n < 4:
+                raise UsageError(f"--n must be >= 4, got {n}")
+        cfg.res, cfg.photons, cfg.seed, cfg.threads = (
+            int(cfg.res), int(cfg.photons), int(cfg.seed), int(cfg.threads))
+    except (TypeError, ValueError) as err:
+        raise UsageError(f"invalid value: {err}") from None
+    if cmd in ("preimage", "link") and cfg.res < 16:
+        raise UsageError(f"--res must be >= 16, got {cfg.res}")
+    if cmd == "campaign" and cfg.photons < 3:
+        raise UsageError(f"--photons must be >= 3, got {cfg.photons}")
+    if cfg.threads < 0:
+        raise UsageError(f"--threads must be >= 0 (0: one per CPU), got {cfg.threads}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +210,18 @@ def write_json_atomic(path, obj):
     write_atomic(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def read_artifact(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _outpath(cfg, default_name):
     if cfg.out:
         return cfg.out
     return os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), default_name)
+
+
+def _emit(cfg, name, doc):
+    """Stamp ``doc`` and write it to --out, else to $HOPF_OUTPUT_DIR/name."""
+    doc["generated_at"] = _timestamp()
+    path = _outpath(cfg, name)
+    write_json_atomic(path, doc)
+    return path
 
 
 def _htag(h):
@@ -223,33 +231,21 @@ def _htag(h):
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
+def _analytic(cfg):
+    return bzgrid.sample_state_field(model.HopfParams(cfg.h[0]), bzgrid.MeshSpec(cfg.n[0]))
+
 def _cmd_field(cfg):
-    f = bzgrid.sample_state_field(model.HopfParams(cfg.h[0]), bzgrid.MeshSpec(cfg.n[0]))
-    doc = bzgrid.field_to_dict(f)
-    doc["generated_at"] = _timestamp()
-    path = _outpath(cfg, f"field_h{_htag(cfg.h[0])}_n{cfg.n[0]}.json")
-    write_json_atomic(path, doc)
-    return [path]
+    doc = bzgrid.field_to_dict(_analytic(cfg))
+    return [_emit(cfg, f"field_h{_htag(cfg.h[0])}_n{cfg.n[0]}.json", doc)]
 
 def _cmd_index(cfg):
-    f = bzgrid.sample_state_field(model.HopfParams(cfg.h[0]), bzgrid.MeshSpec(cfg.n[0]))
-    doc = invariants.index_report(f)
-    doc["generated_at"] = _timestamp()
-    path = _outpath(cfg, f"index_h{_htag(cfg.h[0])}_n{cfg.n[0]}.json")
-    write_json_atomic(path, doc)
-    return [path]
+    doc = invariants.index_report(_analytic(cfg))
+    return [_emit(cfg, f"index_h{_htag(cfg.h[0])}_n{cfg.n[0]}.json", doc)]
 
 def _cmd_chern(cfg):
-    f = bzgrid.sample_state_field(model.HopfParams(cfg.h[0]), bzgrid.MeshSpec(cfg.n[0]))
-    doc = {
-        "h": cfg.h[0],
-        "n": cfg.n[0],
-        "chern_numbers": invariants.chern_numbers(f),
-        "generated_at": _timestamp(),
-    }
-    path = _outpath(cfg, f"chern_h{_htag(cfg.h[0])}_n{cfg.n[0]}.json")
-    write_json_atomic(path, doc)
-    return [path]
+    doc = {"h": cfg.h[0], "n": cfg.n[0],
+           "chern_numbers": invariants.chern_numbers(_analytic(cfg))}
+    return [_emit(cfg, f"chern_h{_htag(cfg.h[0])}_n{cfg.n[0]}.json", doc)]
 
 def _cmd_scaling(cfg):
     rows = []
@@ -259,33 +255,20 @@ def _cmd_scaling(cfg):
             rows.append({"h": h, "n": row.n, "chi": row.chi,
                          "chi_infinity": target, "deviation": row.deviation})
     rows.sort(key=lambda r: (r["h"], r["n"]))
-    doc = {"rows": rows, "generated_at": _timestamp()}
-    path = _outpath(cfg, "scaling.json")
-    write_json_atomic(path, doc)
-    return [path]
+    return [_emit(cfg, "scaling.json", {"rows": rows})]
 
 def _cmd_texture(cfg):
-    f = bzgrid.sample_state_field(model.HopfParams(cfg.h[0]), bzgrid.MeshSpec(cfg.n[0]))
-    if cfg.fmt == "csv":
-        path = _outpath(cfg, f"texture_h{_htag(cfg.h[0])}_n{cfg.n[0]}.csv")
-        rows = bzgrid.texture_rows(f)
-        lines = ["jx,jy,jz,sx,sy,sz"]
-        for r in rows:
-            lines.append(
-                f"{int(r[0])},{int(r[1])},{int(r[2])},"
-                f"{float(r[3])!r},{float(r[4])!r},{float(r[5])!r}"
-            )
-        write_atomic(path, "\n".join(lines) + "\n")
-    else:
-        path = _outpath(cfg, f"texture_h{_htag(cfg.h[0])}_n{cfg.n[0]}.json")
-        doc = {
-            "h": cfg.h[0],
-            "n": cfg.n[0],
-            "rows": bzgrid.texture_rows(f).tolist(),
-            "columns": ["jx", "jy", "jz", "sx", "sy", "sz"],
-            "generated_at": _timestamp(),
-        }
-        write_json_atomic(path, doc)
+    rows = bzgrid.texture_rows(_analytic(cfg))
+    name = f"texture_h{_htag(cfg.h[0])}_n{cfg.n[0]}"
+    if cfg.fmt != "csv":
+        doc = {"h": cfg.h[0], "n": cfg.n[0], "rows": rows.tolist(),
+               "columns": _TEXTURE_COLUMNS}
+        return [_emit(cfg, name + ".json", doc)]
+    lines = [",".join(_TEXTURE_COLUMNS)]
+    lines += [f"{int(r[0])},{int(r[1])},{int(r[2])},"
+              f"{float(r[3])!r},{float(r[4])!r},{float(r[5])!r}" for r in rows]
+    path = _outpath(cfg, name + ".csv")
+    write_atomic(path, "\n".join(lines) + "\n")
     return [path]
 
 def _cmd_preimage(cfg):
@@ -293,78 +276,49 @@ def _cmd_preimage(cfg):
     paths = []
     for spin in cfg.spins:
         loops = preimage.preimage_contours(params, spin, res=cfg.res)
-        doc = {
-            "h": cfg.h[0],
-            "target": list(spin),
-            "res": cfg.res,
-            "loops": [preimage.polyline_to_dict(c) for c in loops],
-            "generated_at": _timestamp(),
-        }
+        doc = {"h": cfg.h[0], "target": list(spin), "res": cfg.res,
+               "loops": [preimage.polyline_to_dict(c) for c in loops]}
         tag = "_".join(f"{x:+.2f}" for x in spin)
-        path = _outpath(cfg, f"preimage_h{_htag(cfg.h[0])}_s{tag}.json")
+        spin_cfg = cfg
         if cfg.out and len(cfg.spins) > 1:
             base, ext = os.path.splitext(cfg.out)
-            path = f"{base}_s{tag}{ext}"
-        write_json_atomic(path, doc)
-        paths.append(path)
+            spin_cfg = replace(cfg, out=f"{base}_s{tag}{ext}")
+        paths.append(_emit(spin_cfg, f"preimage_h{_htag(cfg.h[0])}_s{tag}.json", doc))
     return paths
 
 def _cmd_neighborhood(cfg):
     if cfg.field_path:
-        f = bzgrid.load_field(cfg.field_path)
+        try:
+            f = bzgrid.load_field(cfg.field_path)
+        except (KeyError, IndexError, TypeError, ValueError) as err:
+            raise UsageError(
+                f"--field {cfg.field_path} is not a field file: {err!r}") from None
     else:
-        if not cfg.h:
-            raise UsageError("'neighborhood' needs --h (or --field)")
-        f = bzgrid.sample_state_field(model.HopfParams(cfg.h[0]), bzgrid.MeshSpec(cfg.n[0]))
+        f = _analytic(cfg)
     spin = cfg.spins[0]
     sites = preimage.epsilon_neighborhood(f, spin, cfg.eps)
-    doc = {
-        "h": f.params.h,
-        "n": f.n,
-        "target": list(spin),
-        "epsilon": cfg.eps,
-        "sites": [{"site": list(site), "bloch": vec.tolist()} for site, vec in sites],
-        "generated_at": _timestamp(),
-    }
-    path = _outpath(cfg, f"neighborhood_h{_htag(f.params.h)}_n{f.n}.json")
-    write_json_atomic(path, doc)
-    return [path]
+    doc = {"h": f.params.h, "n": f.n, "target": list(spin), "epsilon": cfg.eps,
+           "sites": [{"site": list(site), "bloch": vec.tolist()} for site, vec in sites]}
+    return [_emit(cfg, f"neighborhood_h{_htag(f.params.h)}_n{f.n}.json", doc)]
 
 def _cmd_link(cfg):
-    lm = preimage.link_matrix(model.HopfParams(cfg.h[0]), cfg.spins, res=cfg.res)
-    doc = lm.to_dict()
-    doc["h"] = cfg.h[0]
-    doc["res"] = cfg.res
-    doc["generated_at"] = _timestamp()
-    path = _outpath(cfg, f"link_h{_htag(cfg.h[0])}.json")
-    write_json_atomic(path, doc)
-    return [path]
+    doc = preimage.link_matrix(model.HopfParams(cfg.h[0]), cfg.spins, res=cfg.res).to_dict()
+    doc.update({"h": cfg.h[0], "res": cfg.res})
+    return [_emit(cfg, f"link_h{_htag(cfg.h[0])}.json", doc)]
 
 def _cmd_adiabatic(cfg):
     params = model.HopfParams(cfg.h[0])
     k = 2.0 * np.pi * np.asarray(cfg.k)
     schedule = adiabatic.build_schedule(k, params)
     final = adiabatic.evolve(schedule, np.array([1.0, 0.0], dtype=complex))
-    ref = model.ground_state(k, params)
     doc = {
         "h": cfg.h[0],
         "k_over_2pi": list(cfg.k),
-        "fidelity": adiabatic.fidelity(final, ref),
+        "fidelity": adiabatic.fidelity(final, model.ground_state(k, params)),
         "final_state": [final[0].real, final[0].imag, final[1].real, final[1].imag],
-        "schedule": {
-            "phi": schedule.phi,
-            "delta_start": schedule.delta_start,
-            "delta_final": schedule.delta_final,
-            "omega_peak": schedule.omega_peak,
-            "omega_final": schedule.omega_final,
-            "segment_duration": schedule.segment_duration,
-            "sample_dt": schedule.sample_dt,
-        },
-        "generated_at": _timestamp(),
+        "schedule": asdict(schedule),
     }
-    path = _outpath(cfg, f"adiabatic_h{_htag(cfg.h[0])}.json")
-    write_json_atomic(path, doc)
-    return [path]
+    return [_emit(cfg, f"adiabatic_h{_htag(cfg.h[0])}.json", doc)]
 
 def _cmd_campaign(cfg):
     result = adiabatic.run_campaign(
@@ -374,23 +328,12 @@ def _cmd_campaign(cfg):
         seed=cfg.seed,
         threads=cfg.threads,
     )
-    stem = cfg.out or os.path.join(
-        os.environ.get(OUTPUT_DIR_ENV, "."),
-        f"campaign_h{_htag(cfg.h[0])}_n{cfg.n[0]}_seed{cfg.seed}",
-    )
-    if stem.endswith(".json"):
-        stem = stem[: -len(".json")]
-    field_doc = bzgrid.field_to_dict(result.field)
-    field_doc["generated_at"] = _timestamp()
+    stem = _outpath(cfg, f"campaign_h{_htag(cfg.h[0])}_n{cfg.n[0]}_seed{cfg.seed}")
+    stem = stem.removesuffix(".json")
     stats_doc = result.stats.to_dict()
-    stats_doc.update(
-        {"h": cfg.h[0], "n": cfg.n[0], "photons": cfg.photons, "seed": cfg.seed,
-         "generated_at": _timestamp()}
-    )
-    field_path, stats_path = stem + ".field.json", stem + ".stats.json"
-    write_json_atomic(field_path, field_doc)
-    write_json_atomic(stats_path, stats_doc)
-    return [field_path, stats_path]
+    stats_doc.update({"h": cfg.h[0], "n": cfg.n[0], "photons": cfg.photons, "seed": cfg.seed})
+    docs = {".field.json": bzgrid.field_to_dict(result.field), ".stats.json": stats_doc}
+    return [_emit(replace(cfg, out=stem + ext), None, doc) for ext, doc in docs.items()]
 
 
 _COMMANDS = {
@@ -407,24 +350,32 @@ _COMMANDS = {
 }
 
 
+def _report(err):
+    """Print a failure on stderr; return its exit status."""
+    if isinstance(err, UsageError):
+        print(f"usage error: {err}", file=sys.stderr)
+        return 2
+    if isinstance(err, OSError):
+        print(json.dumps({"error": "IOError", "message": str(err)}), file=sys.stderr)
+        return 3
+    detail = {
+        k: getattr(err, k)
+        for k in ("site", "axis", "layer", "flux", "k", "windings")
+        if getattr(err, k, None) is not None
+    }
+    doc = {"error": type(err).__name__, "message": str(err)}
+    if detail:
+        doc["detail"] = {k: np.asarray(v).tolist() for k, v in detail.items()}
+    print(json.dumps(doc), file=sys.stderr)
+    return 1
+
+
 def dispatch(cfg):
     """Run the configured engine; writes artifacts, returns the exit status."""
     try:
         paths = _COMMANDS[cfg.subcommand](cfg)
-    except HopfError as err:
-        detail = {
-            k: getattr(err, k)
-            for k in ("site", "axis", "layer", "flux", "k", "windings")
-            if getattr(err, k, None) is not None
-        }
-        doc = {"error": type(err).__name__, "message": str(err)}
-        if detail:
-            doc["detail"] = {k: np.asarray(v).tolist() for k, v in detail.items()}
-        print(json.dumps(doc), file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(json.dumps({"error": "IOError", "message": str(err)}), file=sys.stderr)
-        return 3
+    except (HopfError, OSError) as err:
+        return _report(err)
     for p in paths:
         print(p)
     return 0
@@ -433,12 +384,8 @@ def dispatch(cfg):
 def main(argv=None):
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(json.dumps({"error": "IOError", "message": str(err)}), file=sys.stderr)
-        return 3
+    except (UsageError, OSError) as err:
+        return _report(err)
     return dispatch(cfg)
 
 

@@ -62,7 +62,9 @@ def _grid_links(states, axes, tol=TOL_OVERLAP):
         ov = np.sum(np.conj(states) * np.roll(states, -1, axis=ax), axis=-1)
         mag = np.abs(ov)
         if mag.min() <= tol:
-            site = np.unravel_index(int(np.argmin(mag)), mag.shape)
+            site = tuple(
+                int(x) for x in np.unravel_index(int(np.argmin(mag)), mag.shape)
+            )
             raise OrthogonalNeighbors(
                 f"orthogonal neighbors at site {site} along axis {ax}",
                 site=site,

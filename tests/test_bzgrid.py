@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,15 +5,8 @@ from hopfsim.bzgrid import (
     MeshSpec,
     StateField,
     coverage_fraction,
-    field_from_dict,
-    field_to_dict,
-    load_field,
-    load_texture_csv,
     sample_state_field,
-    save_field,
-    save_texture_csv,
     slice_field,
-    texture_rows,
 )
 from hopfsim.errors import EmptyInput, GaplessPoint
 from hopfsim.model import HopfParams
@@ -98,30 +89,6 @@ def test_coverage_input_validation():
         coverage_fraction([[0, 0, 2]], 64)
 
 
-def test_field_json_roundtrip_spinor(tmp_path):
-    f = sample_state_field(HopfParams(2.0), MeshSpec(5))
-    path = tmp_path / "field.json"
-    save_field(f, path)
-    g = load_field(path)
-    assert np.array_equal(f.data, g.data)
-    assert g.params == f.params and g.provenance == f.provenance
-    # document structure is json-native
-    doc = json.loads(path.read_text())
-    assert doc["n"] == 5 and len(doc["entries"]) == 125 and len(doc["entries"][0]) == 4
-
-
-def test_field_json_roundtrip_rho(tmp_path):
-    f = sample_state_field(HopfParams(2.0), MeshSpec(4))
-    rho = np.einsum("...i,...j->...ij", f.data, np.conj(f.data))
-    fr = StateField(MeshSpec(4), f.params, rho, provenance="simulated-experiment")
-    path = tmp_path / "rho.json"
-    save_field(fr, path)
-    g = load_field(path)
-    assert g.kind == "rho"
-    assert np.array_equal(fr.data, g.data)
-    np.testing.assert_allclose(g.bloch_vectors(), f.bloch_vectors(), atol=1e-12)
-
-
 def test_rho_validation_rejects_unphysical():
     n = 4
     bad = np.zeros((n, n, n, 2, 2), dtype=complex)
@@ -148,12 +115,3 @@ def test_apply_gauge_changes_phases_only():
         np.abs(g.data), np.abs(f.data), atol=1e-15
     )
     np.testing.assert_allclose(g.bloch_vectors(), f.bloch_vectors(), atol=1e-12)
-
-
-def test_texture_csv(tmp_path):
-    f = sample_state_field(HopfParams(2.0), MeshSpec(4))
-    path = tmp_path / "tex.csv"
-    save_texture_csv(f, path)
-    rows = load_texture_csv(path)
-    assert rows.shape == (64, 6)
-    np.testing.assert_allclose(rows[:, 3:], texture_rows(f)[:, 3:], rtol=0, atol=0)

@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 
 from hopfsim import cli
-from hopfsim.bzgrid import load_field
+from hopfsim.bzgrid import (
+    MeshSpec,
+    StateField,
+    field_to_dict,
+    load_field,
+    sample_state_field,
+    texture_rows,
+)
 from hopfsim.errors import UsageError
+from hopfsim.model import HopfParams
 from hopfsim.preimage import polyline_from_dict
 
 
@@ -48,7 +56,33 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run_cli(["index", "--h", "2", "--n", "2"], tmp_path) == 2
     assert run_cli(["preimage", "--h", "2", "--spin", "1,0"], tmp_path) == 2
     assert run_cli(["preimage", "--h", "2", "--spin", "1,1,0"], tmp_path) == 2
-    capsys.readouterr()
+    assert run_cli(["neighborhood", "--spin", "0,0,1", "--eps", "0.3"], tmp_path) == 2
+    assert run_cli(["index", "--h", "nan"], tmp_path) == 2
+    conf = tmp_path / "conf.json"
+    index = ["index", "--h", "2", "--config", str(conf)]
+    neighborhood = ["neighborhood", "--config", str(conf), "--spin", "0,0,1", "--eps", "0.3"]
+    link = ["link", "--h", "2.9", "--config", str(conf)]
+    for text, argv in [("{not json", index), ('{"n": "abc"}', index), ("[6]", index),
+                       ('{"h": "two"}', neighborhood), ('{"spin": [[1, 0, 0]]}', link)]:
+        conf.write_text(text)
+        assert run_cli(argv, tmp_path) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 11 and all(line.startswith("usage error: ") for line in err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json"]
+
+
+def test_malformed_field_file_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    argv = ["neighborhood", "--spin", "0,0,1", "--eps", "0.3", "--field"]
+    short = {"n": 4, "h": 2.0, "entries": [[1, 0, 0, 0]] * 5}
+    for text in ("{not json", '{"h": 2}', "[1]", json.dumps(short)):
+        bad.write_text(text)
+        assert run_cli(argv + [str(bad)], tmp_path) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: --field {bad} ")
+    # a missing file stays an I/O error
+    assert run_cli(argv + [str(tmp_path / "missing.json")], tmp_path) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "IOError"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 def test_config_file_overridden_by_flags(tmp_path):
@@ -59,6 +93,8 @@ def test_config_file_overridden_by_flags(tmp_path):
     )
     assert cfg.n == [6]  # from file
     assert cfg.seed == 9  # flag wins
+    cfgfile.write_text(json.dumps({"n": 6.0}))  # a JSON number, read as a mesh size
+    assert cli.parse_config(["index", "--config", str(cfgfile), "--h", "2"]).n == [6]
 
 
 def test_index_artifact_roundtrip(tmp_path, capsys):
@@ -80,6 +116,30 @@ def test_field_artifact_roundtrip(tmp_path, capsys):
 
     g = sample_state_field(HopfParams(2.0), MeshSpec(5))
     assert np.array_equal(f.data, g.data)
+
+
+def test_field_json_roundtrip_spinor(tmp_path):
+    f = sample_state_field(HopfParams(2.0), MeshSpec(5))
+    path = tmp_path / "field.json"
+    cli.write_json_atomic(path, field_to_dict(f))
+    g = load_field(path)
+    assert np.array_equal(f.data, g.data)
+    assert g.params == f.params and g.provenance == f.provenance
+    # document structure is json-native
+    doc = json.loads(path.read_text())
+    assert doc["n"] == 5 and len(doc["entries"]) == 125 and len(doc["entries"][0]) == 4
+
+
+def test_field_json_roundtrip_rho(tmp_path):
+    f = sample_state_field(HopfParams(2.0), MeshSpec(4))
+    rho = np.einsum("...i,...j->...ij", f.data, np.conj(f.data))
+    fr = StateField(MeshSpec(4), f.params, rho, provenance="simulated-experiment")
+    path = tmp_path / "rho.json"
+    cli.write_json_atomic(path, field_to_dict(fr))
+    g = load_field(path)
+    assert g.kind == "rho"
+    assert np.array_equal(fr.data, g.data)
+    np.testing.assert_allclose(g.bloch_vectors(), f.bloch_vectors(), atol=1e-12)
 
 
 def test_preimage_artifact(tmp_path, capsys):
@@ -164,6 +224,10 @@ def test_texture_csv(tmp_path, capsys):
     capsys.readouterr()
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "jx,jy,jz,sx,sy,sz" and len(lines) == 65
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (64, 6)
+    f = sample_state_field(HopfParams(2.0), MeshSpec(4))
+    np.testing.assert_allclose(rows[:, 3:], texture_rows(f)[:, 3:], rtol=0, atol=0)
 
 
 def test_engine_error_json_exit_1(tmp_path, capsys):
@@ -171,6 +235,10 @@ def test_engine_error_json_exit_1(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "GaplessPoint" and "site" in err["detail"]
+    assert run_cli(["index", "--h", "2", "--n", "4"], tmp_path) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "OrthogonalNeighbors"
+    assert err["message"] == "orthogonal neighbors at site (3, 2, 2) along axis 0"
 
 
 def test_idempotent_apart_from_timestamp(tmp_path, capsys):
