@@ -7,6 +7,7 @@ from hopfsim.bzgrid import (
     coverage_fraction,
     sample_state_field,
     slice_field,
+    texture_rows,
 )
 from hopfsim.errors import EmptyInput, GaplessPoint
 from hopfsim.model import HopfParams
@@ -115,3 +116,16 @@ def test_apply_gauge_changes_phases_only():
         np.abs(g.data), np.abs(f.data), atol=1e-15
     )
     np.testing.assert_allclose(g.bloch_vectors(), f.bloch_vectors(), atol=1e-12)
+
+
+def test_texture_csv():
+    # the rows the texture CSV carries: site indices in row-major order, then
+    # the Bloch vector of that site, bit for bit
+    f = sample_state_field(HopfParams(2.0), MeshSpec(4))
+    rows = texture_rows(f)
+    assert rows.shape == (64, 6)
+    np.testing.assert_array_equal(rows[:, :3], np.indices((4, 4, 4)).reshape(3, -1).T)
+    np.testing.assert_allclose(
+        rows[:, 3:], f.bloch_vectors().reshape(-1, 3), rtol=0, atol=0
+    )
+    np.testing.assert_allclose(np.linalg.norm(rows[:, 3:], axis=1), 1, atol=1e-12)
