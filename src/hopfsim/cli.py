@@ -166,6 +166,7 @@ def parse_config(argv):
                 raise UsageError(f"--eps is only valid for 'neighborhood', not '{cmd}'")
             if not 0 < cfg.eps <= 2:
                 raise UsageError(f"--eps must be in (0, 2], got {cfg.eps}")
+        cfg.h = [float(h) for h in cfg.h]
         for h in cfg.h:
             model.HopfParams(h)
         cfg.n = [int(n) for n in cfg.n]

@@ -61,7 +61,14 @@ def u_of_k(k, params):
     k = np.asarray(k, dtype=float)
     sx, sy, sz = np.sin(k[..., 0]), np.sin(k[..., 1]), np.sin(k[..., 2])
     c = np.cos(k[..., 0]) + np.cos(k[..., 1]) + np.cos(k[..., 2]) + params.h
-    u = np.empty(k.shape, dtype=float)
+    return _fill_u(np.empty(k.shape, dtype=float), sx, sy, sz, c)
+
+
+def _fill_u(u, sx, sy, sz, c):
+    """Write u(k) into u[..., 0:3] from sin kx, sin ky, sin kz and C(k).
+
+    The one place the Hamiltonian is written; the inputs may be any arrays
+    that broadcast to u.shape[:-1]."""
     u[..., 0] = 2.0 * (sx * sz + c * sy)
     u[..., 1] = 2.0 * (c * sx - sy * sz)
     u[..., 2] = sx * sx + sy * sy - sz * sz - c * c
@@ -117,6 +124,36 @@ def bloch_ground(k, params):
     n = np.linalg.norm(u, axis=-1)
     _check_gapped(n, k)
     return -u / n[..., None]
+
+
+def bloch_grid(res, params):
+    """Ground-state Bloch vectors on the grid k = 2*pi*(i, j, l)/res: (res,)*3 + (3,).
+
+    Equal bit for bit to ``bloch_ground`` on the meshgrid of those momenta
+    (``indexing="ij"``), but sampled from 1-D sin/cos tables by broadcasting
+    and normalized in place, so no (res^3, 3) temporary is made.
+
+    Raises
+    ------
+    GaplessPoint
+        If |u(k)| < 1e-12 at a grid point.
+    """
+    grid = 2.0 * np.pi * np.arange(res) / res
+    sin, cos = np.sin(grid), np.cos(grid)
+    x, y, z = (slice(None), None, None), (None, slice(None), None), (None, None, slice(None))
+    c = cos[x] + cos[y] + cos[z] + params.h
+    u = _fill_u(np.empty((res, res, res, 3)), sin[x], sin[y], sin[z], c)
+    # |u| in np.linalg.norm's order of operations, so S is bloch_ground's bit for bit
+    n = np.square(u[..., 0])
+    n += np.square(u[..., 1])
+    n += np.square(u[..., 2])
+    np.sqrt(n, out=n)
+    if np.any(n < GAP_TOL):
+        worst = np.unravel_index(int(np.argmin(n)), n.shape)
+        _check_gapped(n[worst], grid[list(worst)])
+    np.negative(u, out=u)
+    u /= n[..., None]
+    return u
 
 
 def eta_of_k(k, params):

@@ -8,11 +8,15 @@ tetrahedral decomposition of an auxiliary fine grid, with the dominant
 component's sign disambiguating the antipodal solution.  The marching is one
 array pass over every straddling cell x 6 Kuhn tetrahedra, driven by a
 16-row table of cut edges keyed by a tetrahedron's sign pattern; the grid of
-Bloch vectors is sampled once for all targets of a link matrix.  Loops are
-embedded in R3 through the S3 map and a stereographic chart, where pairwise
-Gauss linking numbers are evaluated segment-pair exactly; on the torus they
-are lifted to the universal cover and linked against periodic images, which
-needs loops that do not wind the torus (``WindingLoops`` otherwise).
+Bloch vectors is sampled once for all targets of a link matrix, from
+separable sin/cos tables (``model.bloch_grid``).  Loops are embedded in R3
+through the S3 map and a stereographic chart, where pairwise Gauss linking
+numbers are evaluated segment-pair exactly; on the torus they are lifted to
+the universal cover and linked against periodic images, which needs loops
+that do not wind the torus (``WindingLoops`` otherwise).  Every Gauss sum is
+one fused array pass over the chords between the two curves; the chord
+lengths are the vertex distances, so the same pass gives the separation
+check (``CurvesTooClose``) and the separation margin of a link matrix.
 """
 
 from __future__ import annotations
@@ -236,9 +240,7 @@ def _bloch_grid(params, res):
 
     Cached for the last (params, res), so the targets of one link_matrix
     call share one sampling."""
-    grid = TWO_PI * np.arange(res) / res
-    k = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1)
-    bloch = model.bloch_ground(k, params)
+    bloch = model.bloch_grid(res, params)
     bloch.flags.writeable = False
     return bloch
 
@@ -471,6 +473,7 @@ def embed_r3(c, params, chart="auto", delta_pole=model.POLE_DELTA):
 class LinkingNumber(NamedTuple):
     value: int
     residual: float
+    separation: float  # smallest vertex distance over the Gauss sums taken
 
 
 def _closed_r3(c, name):
@@ -498,45 +501,75 @@ def _spherical_quad_area(c1, c2, c3, c4):
     return tri(c1, c2, c3) + tri(c1, c3, c4)
 
 
-def gauss_linking_sum(a, b):
+class GaussSum(float):
+    """A raw Gauss double sum that also carries ``separation``, the smallest
+    vertex distance between the two curves."""
+
+    def __new__(cls, value, separation):
+        self = super().__new__(cls, value)
+        self.separation = separation
+        return self
+
+
+def gauss_linking_sum(a, b, tol_sep=0.0):
     """Raw Gauss double sum over segment pairs (the pre-rounding real value).
 
     Each segment pair contributes the exact signed area its chord-direction
     map sweeps on the unit sphere; the total divided by 4*pi is the linking
-    number for disjoint closed curves.
+    number for disjoint closed curves.  The chord lengths are the vertex
+    distances, so the same pass returns the smallest of them as the
+    ``separation`` of the returned ``GaussSum``.
+
+    Raises
+    ------
+    CurvesTooClose
+        If a vertex of a lies within tol_sep of a vertex of b.
     """
-    # unit chords from vertices of a to every vertex of b, with the first
-    # vertex of each repeated at its end: the four corners of each segment
-    # pair's quadrilateral are one chord array shifted by a vertex along a
-    # (c2), along both (c3) and along b (c4).  Rows of a go in blocks, which
-    # bounds the temporaries; omega is summed whole, in one fixed order.
+    # chords from vertices of a to every vertex of b, with the first vertex of
+    # each repeated at its end, as three contiguous component arrays.  The
+    # corners of the quadrilateral of segment pair (i, j) are the unit chords
+    # c1 = [i, j], c2 = [i+1, j], c3 = [i+1, j+1] and c4 = [i, j+1], so the
+    # dot products of neighbouring chords along a (c1.c2, c4.c3) and along b
+    # (c1.c4, c2.c3) are each one array shared by adjacent quads.  One cross
+    # product X = c1 x c3 gives both triple products: c1.(c2 x c3) = -c2.X and
+    # c1.(c3 x c4) = c4.X.  Rows of a go in blocks, which bounds the
+    # temporaries; the block sums are added in one fixed order.
     p = np.vstack([a.vertices, a.vertices[:1]])
-    q = np.vstack([b.vertices, b.vertices[:1]])
-    omega = np.empty((len(a), len(b)))
+    q = np.vstack([b.vertices, b.vertices[:1]]).T.copy()
+    total, dmin = 0.0, np.inf
     for i in range(0, len(a), _GAUSS_ROWS):
-        chord = q[None, :, :] - p[i:i + _GAUSS_ROWS + 1, None, :]
-        chord /= np.linalg.norm(chord, axis=-1, keepdims=True)
-        omega[i:i + _GAUSS_ROWS] = _spherical_quad_area(
-            chord[:-1, :-1], chord[1:, :-1], chord[1:, 1:], chord[:-1, 1:]
-        )
-    return float(omega.sum()) / (4.0 * np.pi)
-
-
-def _check_separation(a, b, tol_sep):
-    """Raise CurvesTooClose if a vertex of a lies within tol_sep of one of b."""
-    dmin = min(
-        np.sqrt(((a.vertices[i:i + _GAUSS_ROWS, None, :] - b.vertices) ** 2).sum(-1)).min()
-        for i in range(0, len(a), _GAUSS_ROWS)
-    )
+        rows = p[i:i + _GAUSS_ROWS + 1, :, None]
+        cx, cy, cz = q[0] - rows[:, 0], q[1] - rows[:, 1], q[2] - rows[:, 2]
+        dist = np.sqrt(cx * cx + cy * cy + cz * cz)
+        dmin = min(dmin, float(dist.min()))
+        if dmin < tol_sep:
+            continue  # the call raises; only the global minimum is still needed
+        cx /= dist
+        cy /= dist
+        cz /= dist
+        along_a = cx[:-1] * cx[1:] + cy[:-1] * cy[1:] + cz[:-1] * cz[1:]
+        along_b = cx[:, :-1] * cx[:, 1:] + cy[:, :-1] * cy[:, 1:] + cz[:, :-1] * cz[:, 1:]
+        x1, y1, z1 = cx[:-1, :-1], cy[:-1, :-1], cz[:-1, :-1]
+        x3, y3, z3 = cx[1:, 1:], cy[1:, 1:], cz[1:, 1:]
+        d13 = x1 * x3 + y1 * y3 + z1 * z3
+        xx, xy, xz = y1 * z3 - z1 * y3, z1 * x3 - x1 * z3, x1 * y3 - y1 * x3
+        num1 = -(cx[1:, :-1] * xx + cy[1:, :-1] * xy + cz[1:, :-1] * xz)
+        num2 = cx[:-1, 1:] * xx + cy[:-1, 1:] * xy + cz[:-1, 1:] * xz
+        den1 = 1.0 + along_a[:, :-1] + along_b[1:] + d13
+        den2 = 1.0 + d13 + along_a[:, 1:] + along_b[:-1]
+        total += float((np.arctan2(num1, den1) + np.arctan2(num2, den2)).sum())
     if dmin < tol_sep:
         raise CurvesTooClose(f"curves approach to {dmin:.2e} < tol_sep={tol_sep:g}")
+    # each triangle's solid angle is twice its arctan2
+    return GaussSum(total / TWO_PI, dmin)
 
 
 def gauss_linking_number(a, b, tol_sep=TOL_SEP):
     """Integer Gauss linking number of two disjoint closed R3 polylines.
 
-    Returns a (value, residual) pair, residual being the distance of the raw
-    Gauss sum from the returned integer.
+    Returns (value, residual, separation): residual is the distance of the
+    raw Gauss sum from the returned integer, separation the smallest vertex
+    distance between the curves.
 
     Raises
     ------
@@ -547,10 +580,9 @@ def gauss_linking_number(a, b, tol_sep=TOL_SEP):
     """
     _closed_r3(a, "first curve")
     _closed_r3(b, "second curve")
-    _check_separation(a, b, tol_sep)
-    raw = gauss_linking_sum(a, b)
+    raw = gauss_linking_sum(a, b, tol_sep)
     value = int(np.rint(raw))
-    return LinkingNumber(value, raw - value)
+    return LinkingNumber(value, raw - value, raw.separation)
 
 
 def linking_number(a, b, tol_sep=TOL_SEP):
@@ -583,6 +615,10 @@ def linking_number_t3(a, b, tol_sep=TOL_SEP):
     exact zero).  This is the linking number that stays meaningful when the
     S3 map is not injective (|h| < 1, where it is a double cover and the
     stereographic route overcounts by the covering degree squared).
+
+    The separation of the result is the smallest vertex distance over the
+    images summed (inf when every image is separated by a plane);
+    ``CurvesTooClose`` is raised when one image comes within tol_sep.
     """
     va, wa = unwrap_t3(a)
     vb, wb = unwrap_t3(b)
@@ -598,18 +634,18 @@ def linking_number_t3(a, b, tol_sep=TOL_SEP):
     # translates beyond the combined bounding extents are separated by a
     # coordinate plane and cannot link
     reach = np.ceil(((hi_a - lo_a) + (hi_b - lo_b)) / TWO_PI).astype(int) + 1
-    raw = 0.0
+    raw, separation = 0.0, np.inf
     for tx in range(-reach[0], reach[0] + 1):
         for ty in range(-reach[1], reach[1] + 1):
             for tz in range(-reach[2], reach[2] + 1):
                 shift = TWO_PI * np.array([tx, ty, tz], float)
                 if np.any(hi_b + shift < lo_a) or np.any(lo_b + shift > hi_a):
                     continue  # a separating plane exists: exactly unlinked
-                img = Polyline(vb + shift, "R3", True)
-                _check_separation(la, img, tol_sep)
-                raw += gauss_linking_sum(la, img)
+                part = gauss_linking_sum(la, Polyline(vb + shift, "R3", True), tol_sep)
+                raw += part
+                separation = min(separation, part.separation)
     value = int(np.rint(raw))
-    return LinkingNumber(value, raw - value)
+    return LinkingNumber(value, raw - value, separation)
 
 
 # ---------------------------------------------------------------------------
@@ -623,12 +659,20 @@ class LinkMatrix:
     (absent targets listed in ``absent``).  A preimage may consist of more
     than one loop (it does in the |h| < 1 phase); the matrix entry is then
     the total linking between the two loop families and ``loops`` keeps the
-    per-target breakdown."""
+    per-target breakdown.
+
+    The margins say how close the entries came to being wrong:
+    ``min_separation_cells`` is the smallest vertex distance between linked
+    loops over every Gauss sum, in cells of the marching grid (None when no
+    Gauss sum was taken); ``max_residual`` the largest distance of a loop
+    pair's raw linking sum from its integer (None when no pair was linked)."""
 
     targets: list
     values: list
     absent: list = field(default_factory=list)
     loops: list = field(default_factory=list)
+    min_separation_cells: float | None = None
+    max_residual: float | None = None
 
     @property
     def loop_counts(self):
@@ -640,6 +684,8 @@ class LinkMatrix:
             "linking": self.values,
             "absent": self.absent,
             "loop_counts": self.loop_counts,
+            "min_separation_cells": self.min_separation_cells,
+            "max_residual": self.max_residual,
         }
 
 
@@ -655,14 +701,17 @@ def link_matrix(params, targets, res=64):
 
     m = len(targets)
     values = [[None] * m for _ in range(m)]
+    separation, residuals = np.inf, []
     for i in range(m):
         for j in range(i + 1, m):
             if not loops_t3[i] or not loops_t3[j]:
                 continue
-            total = sum(
-                linking_number_t3(a, b).value
-                for a in loops_t3[i]
-                for b in loops_t3[j]
-            )
-            values[i][j] = values[j][i] = total
-    return LinkMatrix(targets=targets, values=values, absent=absent, loops=loops_t3)
+            pairs = [linking_number_t3(a, b) for a in loops_t3[i] for b in loops_t3[j]]
+            values[i][j] = values[j][i] = sum(lk.value for lk in pairs)
+            separation = min([separation] + [lk.separation for lk in pairs])
+            residuals += [abs(lk.residual) for lk in pairs]
+    return LinkMatrix(
+        targets=targets, values=values, absent=absent, loops=loops_t3,
+        min_separation_cells=separation * res / TWO_PI if np.isfinite(separation) else None,
+        max_residual=max(residuals, default=None),
+    )

@@ -97,6 +97,23 @@ def test_config_file_overridden_by_flags(tmp_path):
     assert cli.parse_config(["index", "--config", str(cfgfile), "--h", "2"]).n == [6]
 
 
+def test_config_file_h_gives_the_artifact_of_the_flag(tmp_path, capsys):
+    # a JSON integer h names and fills the artifact as the float flag does
+    (tmp_path / "conf.json").write_text(json.dumps({"h": 2, "n": 4}))
+    neighborhood = ["neighborhood", "--spin", "0,0,1", "--eps", "0.5"]
+    docs = {}
+    for name, argv in (("config", ["--config", str(tmp_path / "conf.json")]),
+                       ("flag", ["--h", "2", "--n", "4"])):
+        os.mkdir(tmp_path / name)
+        assert run_cli(neighborhood + argv, tmp_path / name) == 0
+        (path,) = (tmp_path / name).iterdir()
+        docs[name] = path.name, json.loads(path.read_text())
+        docs[name][1].pop("generated_at")
+    capsys.readouterr()
+    assert docs["config"] == docs["flag"]
+    assert docs["flag"][0] == "neighborhood_h2p0_n4.json" and docs["flag"][1]["h"] == 2.0
+
+
 def test_index_artifact_roundtrip(tmp_path, capsys):
     out = tmp_path / "idx.json"
     assert run_cli(["index", "--h", "2", "--n", "6", "--out", str(out)], tmp_path) == 0
@@ -166,6 +183,7 @@ def test_link_artifact(tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads(out.read_text())
     assert abs(doc["linking"][0][1]) == 1 and doc["absent"] == []
+    assert doc["min_separation_cells"] > 0 and 0 <= doc["max_residual"] < 1e-6
 
 
 def test_link_with_winding_loops_is_a_typed_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,13 @@ from hypothesis import strategies as st
 
 from hopfsim import model, preimage
 from hopfsim.bzgrid import MeshSpec, sample_state_field
-from hopfsim.errors import ChartExhausted, CurvesTooClose, NotClosed, WindingLoops
+from hopfsim.errors import (
+    ChartExhausted,
+    CurvesTooClose,
+    GaplessPoint,
+    NotClosed,
+    WindingLoops,
+)
 from hopfsim.model import HopfParams, bloch_ground
 from hopfsim.preimage import (
     _LEVEL_NUDGE,
@@ -219,18 +227,35 @@ def test_march_matches_scalar_reference_on_axis_targets(h, target):
 
 def test_bloch_grid_sampled_once_per_link_matrix(monkeypatch):
     grids = []
-    original = model.bloch_ground
+    original = model.bloch_grid
 
-    def counting(k, params):
-        if np.ndim(k) == 4:
-            grids.append(np.shape(k))
-        return original(k, params)
+    def counting(res, params):
+        out = original(res, params)
+        grids.append(out.shape)
+        return out
 
-    monkeypatch.setattr(model, "bloch_ground", counting)
+    monkeypatch.setattr(model, "bloch_grid", counting)
     _bloch_grid.cache_clear()
     link_matrix(HopfParams(2.9), [(1, 0, 0), (0, 1, 0), (0, 0, -1)], res=16)
     assert grids == [(16, 16, 16, 3)]
     assert not _bloch_grid(HopfParams(2.9), 16).flags.writeable
+
+
+@pytest.mark.parametrize("res", [16, 24, 64])
+def test_bloch_grid_equals_bloch_ground_on_the_meshgrid(res):
+    grid = TWO_PI * np.arange(res) / res
+    k = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1)
+    for h in (-3.5, -2.0, -0.5, 0.0, 0.5, 2.0, 2.9, 3.5):
+        want = bloch_ground(k, HopfParams(h))
+        got = model.bloch_grid(res, HopfParams(h))
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_bloch_grid_raises_gapless_point_with_its_k():
+    with pytest.raises(GaplessPoint) as exc:
+        model.bloch_grid(16, HopfParams(-1.0))
+    assert np.linalg.norm(model.u_of_k(exc.value.k, HopfParams(-1.0))) < model.GAP_TOL
 
 
 def test_preimage_res_validation():
@@ -313,9 +338,10 @@ def test_embed_chart_exhausted_on_double_pole_curve():
 
 def test_canonical_hopf_link():
     a, b = hopf_link_pair()
-    lk, residual = gauss_linking_number(a, b)
+    lk, residual, separation = gauss_linking_number(a, b)
     assert abs(lk) == 1
     assert abs(residual) < 1e-9
+    assert 0 < separation < 1
 
 
 def test_side_by_side_circles_unlinked():
@@ -415,6 +441,40 @@ def test_gauss_sum_matches_four_chord_formula(seed):
     assert abs(gauss_linking_sum(a, b) - _four_chord_gauss_sum(a, b)) <= 1e-12
 
 
+def _random_closed_pair(seed, na, nb):
+    rng = np.random.default_rng(seed)
+    a = Polyline(np.cumsum(rng.normal(size=(na, 3)), axis=0), "R3")
+    b = Polyline(np.cumsum(rng.normal(size=(nb, 3)), axis=0) + rng.normal(size=3), "R3")
+    return a, b
+
+
+# 3 to 200 vertices crosses the _GAUSS_ROWS block boundary of the first curve
+_polyline_pairs = dict(
+    seed=st.integers(0, 2**32 - 1), na=st.integers(3, 200), nb=st.integers(3, 200)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_polyline_pairs)
+def test_fused_gauss_sum_matches_four_chord_formula(seed, na, nb):
+    a, b = _random_closed_pair(seed, na, nb)
+    assert abs(gauss_linking_sum(a, b) - _four_chord_gauss_sum(a, b)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(scale=st.sampled_from([0.0, 0.5, 1.0, "next", 2.0]), **_polyline_pairs)
+def test_curves_too_close_exactly_below_tol_sep(seed, na, nb, scale):
+    a, b = _random_closed_pair(seed, na, nb)
+    brute = np.sqrt(((a.vertices[:, None, :] - b.vertices[None, :, :]) ** 2).sum(-1)).min()
+    tol = np.nextafter(brute, np.inf) if scale == "next" else scale * brute
+    if brute < tol:
+        message = f"curves approach to {brute:.2e} < tol_sep={tol:g}"
+        with pytest.raises(CurvesTooClose, match=re.escape(message)):
+            gauss_linking_number(a, b, tol_sep=tol)
+    else:
+        assert gauss_linking_number(a, b, tol_sep=tol).separation == brute
+
+
 def test_linking_t3_matches_r3_route_in_single_cover_phase():
     p = HopfParams(2.9)
     (a,) = preimage_contours(p, (1, 0, 0), res=48)
@@ -443,6 +503,8 @@ def test_link_matrix_h31_unlinked_and_absent():
     assert lm.absent == [2]
     assert lm.values[0][1] == 0 and lm.values[1][0] == 0
     assert lm.values[0][2] is None and lm.values[2][1] is None
+    lone = link_matrix(HopfParams(3.1), [(1, 0, 0), (0, 0, -1)], res=48).to_dict()
+    assert lone["min_separation_cells"] is None and lone["max_residual"] is None
 
 
 def test_link_matrix_h0_total_linking_two():
@@ -454,3 +516,7 @@ def test_link_matrix_h0_total_linking_two():
     d = lm.to_dict()
     assert d["linking"][0][1] == lm.values[0][1]
     assert d["loop_counts"] == [2, 2]
+    # the margins are the extremes over the four loop pairs
+    pairs = [linking_number_t3(a, b) for a in lm.loops[0] for b in lm.loops[1]]
+    assert d["min_separation_cells"] == min(lk.separation for lk in pairs) * 48 / TWO_PI
+    assert d["max_residual"] == max(abs(lk.residual) for lk in pairs) < 1e-6
