@@ -77,6 +77,8 @@ class StateField:
     def __post_init__(self):
         n = self.mesh.n
         self.data = np.asarray(self.data, dtype=complex)
+        if not np.isfinite(self.data).all():
+            raise ValueError("state data must be finite")
         if self.data.shape == (n, n, n, 2):
             self.kind = "spinor"
             norms = np.linalg.norm(self.data, axis=-1)

@@ -57,6 +57,8 @@ def _parse_vec(text):
         raise UsageError(f"--spin/--k expects 'x,y,z', got {text!r}")
     if len(parts) != 3:
         raise UsageError(f"--spin/--k expects 3 components, got {text!r}")
+    if not np.isfinite(parts).all():
+        raise UsageError(f"--spin/--k components must be finite, got {text!r}")
     return tuple(parts)
 
 

@@ -9,18 +9,22 @@ component's sign disambiguating the antipodal solution.  The marching is one
 array pass over every straddling cell x 6 Kuhn tetrahedra, driven by a
 16-row table of cut edges keyed by a tetrahedron's sign pattern; the grid of
 Bloch vectors is sampled once for all targets of a link matrix, from
-separable sin/cos tables (``model.bloch_grid``).  Loops are embedded in R3
-through the S3 map and a stereographic chart, where pairwise Gauss linking
-numbers are evaluated segment-pair exactly; on the torus they are lifted to
-the universal cover and linked against periodic images, which needs loops
-that do not wind the torus (``WindingLoops`` otherwise).  Every Gauss sum is
-one fused array pass over the chords between the two curves; the chord
-lengths are the vertex distances, so the same pass gives the separation
-check (``CurvesTooClose``) and the separation margin of a link matrix.
+separable sin/cos tables (``model.bloch_grid``).  Segments stay arrays up to
+the loops: one sort of the face keys pairs the two segment ends on each face
+(``ResolutionTooCoarse`` if a face holds another number), and the loops are
+the cycles of that pairing.  Loops are embedded in R3 through the S3 map and
+a stereographic chart, where pairwise Gauss linking numbers are evaluated
+segment-pair exactly; on the torus they are lifted to the universal cover and
+linked against periodic images, which needs loops that do not wind the torus
+(``WindingLoops`` otherwise).  Every Gauss sum is one fused array pass over
+the chords between the two curves; the chord lengths are the vertex
+distances, so the same pass gives the separation check (``CurvesTooClose``)
+and the separation margin of a link matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -122,6 +126,8 @@ def polyline_from_dict(d):
 
 def _unit_target(s):
     s = np.asarray(s, dtype=float)
+    if not np.isfinite(s).all():
+        raise ValueError(f"spin target must be finite, got {s.tolist()}")
     norm = np.linalg.norm(s)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"spin target must be a unit vector, |s|={norm}")
@@ -212,11 +218,8 @@ def preimage_contours(params, target, res=64, refine=1):
     phi1 = bloch[..., e1] - (s[e1] + _LEVEL_NUDGE[0])
     phi2 = bloch[..., e2] - (s[e2] + _LEVEL_NUDGE[1])
 
-    segments = _march_segments(phi1, phi2, res)
-    loops = _chain_segments(segments)
-
     out = []
-    for loop in loops:
+    for loop in _chain_segments(*_march_segments(phi1, phi2, res)):
         kverts = np.mod(loop * (TWO_PI / res), TWO_PI)
         n_here = model.bloch_ground(kverts, params)
         # keep the hemisphere that agrees with the target's dominant component
@@ -227,9 +230,7 @@ def preimage_contours(params, target, res=64, refine=1):
         kverts = _dedupe(np.mod(kverts, TWO_PI))
         if len(kverts) < 3:
             continue
-        out.append(
-            _orient(Polyline(kverts, "T3", True, tuple(s), params.h), s, params)
-        )
+        out.append(_orient(Polyline(kverts, "T3", True, tuple(s), params.h), s, params))
     out.sort(key=lambda c: c.vertices[:, 0].min())
     return out
 
@@ -248,11 +249,12 @@ def _bloch_grid(params, res):
 def _march_segments(phi1, phi2, res):
     """Per-tetrahedron intersection segments of the two level sets.
 
-    Returns a list of (point1, face1, point2, face2) with points in grid
-    units and faces keyed by the sorted global ids of the three grid
-    vertices spanning the tetrahedron face holding that endpoint.  Segments
-    come in cell-major order (cells as ``np.argwhere`` lists them), Kuhn
-    tetrahedra in ``_KUHN_TETS`` order within a cell.
+    Returns ``(points, faces)``: ``points[i, side]`` is an end of segment i
+    in grid units, shape (m, 2, 3), and ``faces[i, side]`` the sorted global
+    ids of the three grid vertices spanning the tetrahedron face holding
+    that end, shape (m, 2, 3).  Segments come in cell-major order (cells as
+    ``np.argwhere`` lists them), Kuhn tetrahedra in ``_KUHN_TETS`` order
+    within a cell.
 
     All straddling cells x 6 tetrahedra are marched as one array pass.  A
     tetrahedron's sign pattern of ``phi1 > 0`` (4 bits) picks its row of
@@ -308,65 +310,61 @@ def _march_segments(phi1, phi2, res):
 
     # a g value of exactly 0 at a cut point puts both crossings on that point
     good = np.linalg.norm(point[:, 0] - point[:, 1], axis=1) >= 1e-12
-    return [
-        (point[i, 0], tuple(f1), point[i, 1], tuple(f2))
-        for i, (f1, f2) in zip(np.nonzero(good)[0].tolist(), faces[good].tolist())
-    ]
+    return point[good], faces[good]
 
 
-def _chain_segments(segments):
-    """Walk face-to-face adjacency into closed vertex loops (grid units)."""
-    if not segments:
-        return []
-    face_map = {}
-    for i, (_, f1, _, f2) in enumerate(segments):
-        face_map.setdefault(f1, []).append((i, 0))
-        face_map.setdefault(f2, []).append((i, 1))
-    for face, ends in face_map.items():
-        if len(ends) != 2:
-            raise ResolutionTooCoarse(
-                f"face {face} bounds {len(ends)} curve segments; "
-                "increase the marching resolution"
-            )
+def _chain_segments(points, faces):
+    """Join segments that share a face into closed vertex loops (grid units).
 
-    visited = set()
-    loops = []
-    for start in range(len(segments)):
-        if start in visited:
+    End e = 2 * segment + side lies on ``faces[segment, side]``; each face
+    must hold two ends, each the other's mate.  A loop enters a segment at
+    end e, leaves at e ^ 1 and enters the next segment at mate[e ^ 1]."""
+    ids = faces.reshape(-1, 3)
+    if ids.max(initial=0) >= 1 << 21:  # beyond res = 128: rank the ids first
+        ids = np.unique(ids, return_inverse=True)[1].reshape(ids.shape)
+    n = int(ids.max(initial=0)) + 1  # <= 2**21, so (a n + b) n + c fits int64
+    keys = (ids[:, 0] * n + ids[:, 1]) * n + ids[:, 2]
+    _, face, count = np.unique(keys, return_inverse=True, return_counts=True)
+    odd = np.nonzero(count[face] != 2)[0]
+    if len(odd):
+        e = odd[0]
+        raise ResolutionTooCoarse(
+            f"face {tuple(faces[e >> 1, e & 1].tolist())} bounds {count[face[e]]} "
+            "curve segments; increase the marching resolution"
+        )
+    order = np.argsort(keys, kind="stable")
+    mate = np.empty_like(order)
+    mate[order[0::2]], mate[order[1::2]] = order[1::2], order[0::2]
+    mate = mate.tolist()
+
+    # the two crossing sides of a cut polygon lie on different faces, and with
+    # two ends per face e -> mate[e ^ 1] is a permutation: every walk closes
+    # at its start end, having entered each of its segments once
+    loops, seen = [], bytearray(len(points))
+    for start in range(len(points)):
+        if seen[start]:
             continue
-        verts = []
-        seg, end = start, 1
-        while True:
-            visited.add(seg)
-            p1, f1, p2, f2 = segments[seg]
-            if end == 1:
-                verts.append(p1)
-                exit_face = f2
-            else:
-                verts.append(p2)
-                exit_face = f1
-            nxt = [(i, e) for (i, e) in face_map[exit_face] if i != seg]
-            if not nxt:
-                raise ResolutionTooCoarse("open curve segment chain")
-            seg, entered = nxt[0]
-            end = 1 - entered  # leave through the other face next
-            if seg == start:
-                break
-            if seg in visited:
-                raise ResolutionTooCoarse("segment chain re-entered mid-loop")
-        if len(verts) >= 3:
-            loops.append(np.asarray(verts))
+        walk, e = [2 * start], mate[2 * start + 1]
+        while e >> 1 != start:
+            seen[e >> 1] = 1
+            walk.append(e)
+            e = mate[e ^ 1]
+        if len(walk) >= 3:
+            loops.append(points.reshape(-1, 3)[walk])
     return loops
 
 
 def _dedupe(verts, tol=1e-9):
-    keep = [verts[0]]
-    for v in verts[1:]:
-        if np.linalg.norm(v - keep[-1]) > tol:
-            keep.append(v)
-    while len(keep) > 1 and np.linalg.norm(keep[-1] - keep[0]) <= tol:
+    # drop each vertex within tol of the last one kept, then the closing
+    # vertices within tol of the first
+    rows = verts.tolist()
+    keep = [0]
+    for i in range(1, len(rows)):
+        if math.dist(rows[i], rows[keep[-1]]) > tol:
+            keep.append(i)
+    while len(keep) > 1 and math.dist(rows[keep[-1]], rows[0]) <= tol:
         keep.pop()
-    return np.asarray(keep)
+    return verts[keep]
 
 
 def _spin_jacobian(k, params, step=1e-6):

@@ -99,6 +99,19 @@ def test_rho_validation_rejects_unphysical():
         StateField(MeshSpec(n), HopfParams(2.0), bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("kind", ["spinor", "rho"])
+def test_non_finite_state_data_rejected(kind, bad):
+    # every comparison against a NaN is false, so the normalization and
+    # density-matrix checks alone let such entries through
+    f = sample_state_field(HopfParams(2.0), MeshSpec(4))
+    data = f.data if kind == "spinor" else np.einsum("...i,...j->...ij", f.data, np.conj(f.data))
+    data = data.copy()
+    data[1, 2, 3, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        StateField(MeshSpec(4), f.params, data)
+
+
 def test_rho_pure_states_dominant_eigenvector():
     f = sample_state_field(HopfParams(2.0), MeshSpec(4))
     rho = np.einsum("...i,...j->...ij", f.data, np.conj(f.data))

@@ -85,6 +85,32 @@ def test_malformed_field_file_is_a_usage_error(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["link", "--h", "2", "--spins", "nan,0,0;0,1,0"],
+    ["preimage", "--h", "2", "--spin", "nan,0,0"],
+    ["preimage", "--h", "2", "--spin", "inf,0,0"],
+    ["neighborhood", "--h", "2", "--spin", "0,-inf,0", "--eps", "0.3"],
+    ["adiabatic", "--h", "2", "--k", "nan,0.1,0.2"],
+    ["adiabatic", "--h", "2", "--k", "0.1,inf,0.2"],
+])
+def test_non_finite_spin_or_k_is_a_usage_error(tmp_path, capsys, argv):
+    assert run_cli(argv, tmp_path) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_field_with_a_non_finite_entry_is_a_usage_error(tmp_path, capsys):
+    doc = field_to_dict(sample_state_field(HopfParams(2.0), MeshSpec(4)))
+    doc["entries"][5][0] = float("nan")
+    bad = tmp_path / "f.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["neighborhood", "--field", str(bad), "--spin", "1,0,0", "--eps", "2"]
+    assert run_cli(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: --field {bad} ") and "finite" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
+
+
 def test_config_file_overridden_by_flags(tmp_path):
     cfgfile = tmp_path / "conf.json"
     cfgfile.write_text(json.dumps({"n": 6, "seed": 5}))

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from hopfsim.errors import (
     CurvesTooClose,
     GaplessPoint,
     NotClosed,
+    ResolutionTooCoarse,
     WindingLoops,
 )
 from hopfsim.model import HopfParams, bloch_ground
@@ -19,6 +21,8 @@ from hopfsim.preimage import (
     _LEVEL_NUDGE,
     Polyline,
     _bloch_grid,
+    _chain_segments,
+    _dedupe,
     _march_segments,
     _spherical_quad_area,
     embed_r3,
@@ -198,12 +202,12 @@ def _level_sets(h, target, res):
 
 def _assert_same_segments(h, target, res):
     phi1, phi2 = _level_sets(h, target, res)
-    got = _march_segments(phi1, phi2, res)
+    points, faces = _march_segments(phi1, phi2, res)
     want = _reference_march(phi1, phi2, res)
-    assert len(got) == len(want)
-    for (p1, f1, p2, f2), (q1, g1, q2, g2) in zip(got, want):
-        assert np.array_equal(p1, q1) and np.array_equal(p2, q2)
-        assert f1 == g1 and f2 == g2
+    assert points.shape == faces.shape == (len(want), 2, 3)
+    for p, f, (q1, g1, q2, g2) in zip(points, faces, want):
+        assert np.array_equal(p[0], q1) and np.array_equal(p[1], q2)
+        assert tuple(f[0].tolist()) == g1 and tuple(f[1].tolist()) == g2
 
 
 @settings(max_examples=40, deadline=None)
@@ -223,6 +227,68 @@ def test_march_matches_scalar_reference(h, res, v):
 def test_march_matches_scalar_reference_on_axis_targets(h, target):
     # axis targets put both level sets on symmetry planes of the model
     _assert_same_segments(h, target, 16)
+
+
+# faces 0-3 hold the corners of a square, face 4 a point off it
+_FACES = np.array([(0, 1, 17), (1, 2, 18), (2, 3, 19), (3, 4, 20), (5, 6, 7)])
+_CORNERS = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [2, 2, 0]], float)
+_SQUARE_CORNERS = _CORNERS[:4]
+
+
+def _segments(ends):
+    """(points, faces) arrays of segments given as (face index, face index)."""
+    return _CORNERS[ends], _FACES[ends]
+
+
+def test_chain_segments_walks_scrambled_segments_into_one_loop():
+    # segments in scrambled order, two of them stored end-first: the walk
+    # starts at segment 0, enters each segment at the end its predecessor
+    # left through, and records the corner where it enters
+    points, faces = _segments([(2, 3), (1, 0), (3, 0), (2, 1)])
+    (loop,) = _chain_segments(points, faces)
+    assert np.array_equal(loop, _SQUARE_CORNERS[[2, 3, 0, 1]])
+    assert _chain_segments(np.empty((0, 2, 3)), np.empty((0, 2, 3), int)) == []
+
+
+@pytest.mark.parametrize("ends, face, count", [
+    ([(2, 3), (1, 0), (2, 1)], (3, 4, 20), 1),  # the segment 3 -> 0 is missing
+    ([(2, 3), (1, 0), (3, 0), (2, 1), (4, 1)], (1, 2, 18), 3),
+])
+def test_chain_segments_refuses_a_face_without_two_ends(ends, face, count):
+    with pytest.raises(ResolutionTooCoarse, match=re.escape(
+            f"face {face} bounds {count} curve segments; increase the marching resolution")):
+        _chain_segments(*_segments(ends))
+
+
+def test_chain_segments_with_grid_ids_beyond_res_128():
+    # ids of a res > 128 grid would overflow an int64 key (a n + b) n + c
+    points, faces = _segments([(2, 3), (1, 0), (3, 0), (2, 1)])
+    (loop,) = _chain_segments(points, faces * 2**40 + 7)
+    assert np.array_equal(loop, _SQUARE_CORNERS[[2, 3, 0, 1]])
+
+
+def test_dedupe_measures_from_the_last_kept_vertex():
+    # 0.6e-9 lies within tol of 0 and is dropped; 1.2e-9 lies within tol of
+    # its input predecessor but not of 0, the vertex kept before it
+    verts = np.array([[0.0, 0, 0], [0.6e-9, 0, 0], [1.2e-9, 0, 0]])
+    assert np.array_equal(_dedupe(verts), verts[[0, 2]])
+
+
+def test_dedupe_drops_closing_vertices_near_the_first():
+    square = np.vstack([_SQUARE_CORNERS, [[0, 0, 0.9e-9], [0, 0, -0.95e-9]]])
+    assert np.array_equal(_dedupe(square), _SQUARE_CORNERS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.sampled_from([0.0, 0.3e-9, -0.7e-9, 1e-3])] * 3),
+                min_size=3, max_size=40))
+def test_dedupe_leaves_no_cyclic_neighbours_within_tol(steps):
+    verts = np.cumsum(np.array(steps), axis=0)
+    out = _dedupe(verts)
+    assert np.array_equal(out[0], verts[0])
+    if len(out) > 1:
+        rows = out.tolist()
+        assert min(math.dist(a, b) for a, b in zip(rows, rows[1:] + rows[:1])) > 1e-9
 
 
 def test_bloch_grid_sampled_once_per_link_matrix(monkeypatch):
@@ -263,6 +329,19 @@ def test_preimage_res_validation():
         preimage_contours(HopfParams(2.9), (1, 0, 0), res=8)
     with pytest.raises(ValueError):
         preimage_contours(HopfParams(2.9), (1, 0, 2), res=32)
+
+
+@pytest.mark.parametrize("target", [(np.nan, 0, 0), (0, np.inf, 0), (np.nan,) * 3])
+def test_non_finite_targets_are_refused(target):
+    # a NaN fails the unit-norm comparison too, so only a finiteness check
+    # stops it from giving an empty preimage
+    with pytest.raises(ValueError, match="finite"):
+        preimage_contours(HopfParams(2.0), target, res=16)
+    with pytest.raises(ValueError, match="finite"):
+        link_matrix(HopfParams(2.0), [target, (0, 1, 0)], res=16)
+    f = sample_state_field(HopfParams(2.0), MeshSpec(4))
+    with pytest.raises(ValueError, match="finite"):
+        epsilon_neighborhood(f, target, 2.0)
 
 
 # ---------------------------------------------------------------------------
