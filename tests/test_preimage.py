@@ -258,7 +258,7 @@ def test_chain_segments_refuses_a_face_without_two_ends(ends, face, count):
 
 
 def test_chain_segments_with_grid_ids_beyond_res_128():
-    # ids of a res > 128 grid: (a n + b) n + c with n = res**3 would pass 2**63
+    # face ids of a res > 128 grid pass 2**21 and pair up as small ones do
     points, faces = _segments([(2, 3), (1, 0), (3, 0), (2, 1)])
     (loop,) = _chain_segments(points, faces * 2**40 + 7)
     assert np.array_equal(loop, _SQUARE_CORNERS[[2, 3, 0, 1]])
