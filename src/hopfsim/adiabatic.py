@@ -86,13 +86,12 @@ class RampSchedule:
         return t, om, ph, de
 
 
-def build_schedule(k, params, omega_max=OMEGA_MAX, segment_duration=SEGMENT_DURATION,
-                   sample_rate=SAMPLE_RATE):
+def build_schedule(k, params, segment_duration=SEGMENT_DURATION):
     """Ramp schedule preparing the ground state of the normalized H_k.
 
     The target Hamiltonian is scaled so max(|transverse|, |uz|) equals the
     peak Rabi frequency; the passage starts from |Omega| = 0 at detuning
-    -omega_max (ground state |0>) and ends with controls parallel to u(k).
+    -OMEGA_MAX (ground state |0>) and ends with controls parallel to u(k).
 
     Raises
     ------
@@ -106,15 +105,14 @@ def build_schedule(k, params, omega_max=OMEGA_MAX, segment_duration=SEGMENT_DURA
 
         raise GaplessPoint(f"cannot build a passage onto a gapless point k={k}", k=k)
     trans = float(np.hypot(u[..., 0], u[..., 1]))
-    scale = omega_max / max(trans, abs(float(u[..., 2])))
+    scale = OMEGA_MAX / max(trans, abs(float(u[..., 2])))
     return RampSchedule(
         phi=float(np.arctan2(u[..., 1], u[..., 0])),
-        delta_start=-omega_max,
+        delta_start=-OMEGA_MAX,
         delta_final=float(u[..., 2]) * scale,
-        omega_peak=omega_max,
+        omega_peak=OMEGA_MAX,
         omega_final=trans * scale,
         segment_duration=segment_duration,
-        sample_dt=1.0 / sample_rate,
     )
 
 
@@ -282,7 +280,6 @@ class TomographyResult:
     photons: int
     loglik: float
     iterations: int  # multiplier-solve iterations; 0 inside the Bloch ball
-    converged: bool
     bloch: np.ndarray | None = None
 
 
@@ -391,7 +388,6 @@ def mle_tomography(record, reference=None):
         photons=sum(record.shots.values()),
         loglik=_loglik(r[0], record),
         iterations=int(iterations[0]),
-        converged=True,
         bloch=r[0],
     )
 
@@ -432,7 +428,7 @@ class CampaignResult:
 
 
 def run_campaign(params, mesh, photons_per_site=DEFAULT_PHOTONS, seed=0,
-                 threads=1, dt=None):
+                 threads=1):
     """Simulated tomography of every mesh site.
 
     The sites whose passage can be built run in fixed row-major chunks of
@@ -469,7 +465,7 @@ def run_campaign(params, mesh, photons_per_site=DEFAULT_PHOTONS, seed=0,
     def run_chunk(chunk):
         ids = ok[chunk]
         records = [simulate_measurements(u[:, 0], photons_per_site, seed=(seed, i))
-                   for i, u in zip(ids, _propagators(schedules[chunk], dt))]
+                   for i, u in zip(ids, _propagators(schedules[chunk]))]
         r, _, on_sphere[ids] = _mle_bloch(records)
         rho[ids] = _rho_of_bloch(r)
         fids[ids] = [fidelity(x, ref) for x, ref in zip(rho[ids], refs[chunk])]

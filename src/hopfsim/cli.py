@@ -179,8 +179,8 @@ def parse_config(argv):
             int(cfg.res), int(cfg.photons), int(cfg.seed), int(cfg.threads))
     except (TypeError, ValueError) as err:
         raise UsageError(f"invalid value: {err}") from None
-    if cmd in ("preimage", "link") and cfg.res < 16:
-        raise UsageError(f"--res must be >= 16, got {cfg.res}")
+    if cmd in ("preimage", "link") and not 16 <= cfg.res <= 256:
+        raise UsageError(f"--res must be in [16, 256], got {cfg.res}")
     if cmd == "campaign" and cfg.photons < 3:
         raise UsageError(f"--photons must be >= 3, got {cfg.photons}")
     if cfg.threads < 0:

@@ -24,6 +24,7 @@ from .errors import DegenerateEta, GaplessPoint, PoleSingular
 
 GAP_TOL = 1e-12
 POLE_DELTA = 1e-9
+H_MAX = 1e75  # |u(k)|^2 ~ h^4 overflows a float beyond about |h| = 1e77
 
 TRANSITION_VALUES = (-3.0, -1.0, 1.0, 3.0)
 
@@ -41,6 +42,8 @@ class HopfParams:
     def __post_init__(self):
         if not np.isfinite(self.h):
             raise ValueError(f"h must be finite, got {self.h}")
+        if abs(self.h) > H_MAX:
+            raise ValueError(f"|h| must be <= {H_MAX:g}, got {self.h}")
         if not (np.isfinite(self.omega) and self.omega > 0):
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
 

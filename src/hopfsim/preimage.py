@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +43,6 @@ from .errors import (
 
 TOL_SEP = 1e-3
 _GAUSS_ROWS = 64  # vertices of the first curve per block of pair arrays
-CURVE_TOL = 0.05
 _LEVEL_NUDGE = (1.0e-9, 1.37e-9)  # dodges exact-zero grid values on symmetry planes
 
 TWO_PI = 2.0 * np.pi
@@ -195,7 +194,7 @@ def preimage_contours(params, target, res=64, refine=1):
     params : model.HopfParams
     target : unit 3-vector
     res : int
-        Cells per axis of the auxiliary marching grid (>= 16).
+        Cells per axis of the marching grid, 16 to 256 (about 0.8 GB at 256).
     refine : int
         Newton projection passes pulling the vertices onto the exact curve.
 
@@ -208,8 +207,8 @@ def preimage_contours(params, target, res=64, refine=1):
     ResolutionTooCoarse
         If extracted curve segments cannot be chained into closed loops.
     """
-    if res < 16:
-        raise ValueError(f"res must be >= 16, got {res}")
+    if not 16 <= res <= 256:
+        raise ValueError(f"res must be in [16, 256], got {res}")
     s = _unit_target(target)
     axis = int(np.argmax(np.abs(s)))
     e1, e2 = (axis + 1) % 3, (axis + 2) % 3
@@ -312,10 +311,7 @@ def _march_segments(phi1, phi2, res):
     point = (p0 + u[:, None] * (pts[j, nxt] - p0)).reshape(-1, 2, 3)
     corners = _TET_CORNERS[tet[j, None], _TET_FACES[key[j], side]]
     faces = np.sort(ids[cell[j, None], corners], axis=1).reshape(-1, 2, 3)
-
-    # a g value of exactly 0 at a cut point puts both crossings on that point
-    good = np.linalg.norm(point[:, 0] - point[:, 1], axis=1) >= 1e-12
-    return point[good], faces[good]
+    return point, faces
 
 
 def _chain_segments(points, faces):
@@ -446,29 +442,27 @@ def embed_r3(c, params, chart="auto", delta_pole=model.POLE_DELTA):
     Raises
     ------
     ChartExhausted
-        If the curve passes within delta_pole of both chart poles even after
-        one subdivision pass.
+        If the curve passes within delta_pole of both chart poles.
     """
     if c.coords != "T3":
         raise ValueError(f"embed_r3 expects a T3 polyline, got {c.coords}")
     if not c.closed:
         raise NotClosed("embed_r3 requires a closed polyline")
 
-    for attempt in (c, c.subdivided()):
-        eta = model.map_g(attempt.vertices, params)
-        clear_plus = 1.0 + eta[:, 3].min()
-        clear_minus = 1.0 - eta[:, 3].max()
-        if chart == "auto":
-            use = "plus" if clear_plus >= clear_minus else "minus"
-        else:
-            use = chart
-        clearance = clear_plus if use == "plus" else clear_minus
-        if clearance > delta_pole:
-            verts = model.stereographic_embed(eta, chart=use, delta_pole=delta_pole)
-            return Polyline(verts, "R3", True, attempt.target, attempt.h, chart=use)
-    raise ChartExhausted(
-        f"curve passes within {delta_pole:g} of both stereographic poles"
-    )
+    eta = model.map_g(c.vertices, params)
+    clear_plus = 1.0 + eta[:, 3].min()
+    clear_minus = 1.0 - eta[:, 3].max()
+    if chart == "auto":
+        use = "plus" if clear_plus >= clear_minus else "minus"
+    else:
+        use = chart
+    clearance = clear_plus if use == "plus" else clear_minus
+    if clearance <= delta_pole:
+        raise ChartExhausted(
+            f"curve passes within {delta_pole:g} of both stereographic poles"
+        )
+    verts = model.stereographic_embed(eta, chart=use, delta_pole=delta_pole)
+    return Polyline(verts, "R3", True, c.target, c.h, chart=use)
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +604,20 @@ def unwrap_t3(c):
     return lifted, winding
 
 
+def _image_translates(lo_a, hi_a, lo_b, hi_b):
+    """Translates t, ascending in (tx, ty, tz), for which box b + 2*pi*t meets
+    box a on every axis; other images are cut off by a coordinate plane, so
+    unlinked.  Each axis range, one wider than the divided bounds, is cut by
+    the comparisons themselves: rounding cannot drop or add a touching image."""
+    spans = []
+    for ax in range(3):
+        t = np.arange(math.floor((lo_a[ax] - hi_b[ax]) / TWO_PI) - 1,
+                      math.ceil((hi_a[ax] - lo_b[ax]) / TWO_PI) + 2)
+        meets = (hi_b[ax] + TWO_PI * t >= lo_a[ax]) & (lo_b[ax] + TWO_PI * t <= hi_a[ax])
+        spans.append(t[meets].tolist())
+    return product(*spans)
+
+
 def linking_number_t3(a, b, tol_sep=TOL_SEP):
     """Intrinsic linking number of two zero-winding closed loops on the torus.
 
@@ -633,21 +641,12 @@ def linking_number_t3(a, b, tol_sep=TOL_SEP):
             windings=(wa.tolist(), wb.tolist()),
         )
     la = Polyline(va, "R3", True)
-    lo_a, hi_a = va.min(axis=0), va.max(axis=0)
-    lo_b, hi_b = vb.min(axis=0), vb.max(axis=0)
-    # translates beyond the combined bounding extents are separated by a
-    # coordinate plane and cannot link
-    reach = np.ceil(((hi_a - lo_a) + (hi_b - lo_b)) / TWO_PI).astype(int) + 1
     raw, separation = 0.0, np.inf
-    for tx in range(-reach[0], reach[0] + 1):
-        for ty in range(-reach[1], reach[1] + 1):
-            for tz in range(-reach[2], reach[2] + 1):
-                shift = TWO_PI * np.array([tx, ty, tz], float)
-                if np.any(hi_b + shift < lo_a) or np.any(lo_b + shift > hi_a):
-                    continue  # a separating plane exists: exactly unlinked
-                part = gauss_linking_sum(la, Polyline(vb + shift, "R3", True), tol_sep)
-                raw += part
-                separation = min(separation, part.separation)
+    for t in _image_translates(va.min(axis=0), va.max(axis=0), vb.min(axis=0), vb.max(axis=0)):
+        shift = TWO_PI * np.array(t, float)
+        part = gauss_linking_sum(la, Polyline(vb + shift, "R3", True), tol_sep)
+        raw += part
+        separation = min(separation, part.separation)
     value = int(np.rint(raw))
     return LinkingNumber(value, raw - value, separation)
 

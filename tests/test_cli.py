@@ -99,6 +99,31 @@ def test_non_finite_spin_or_k_is_a_usage_error(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["adiabatic", "--h", "1e308", "--k", "0.1,0.2,0.3"], "|h| must be <= 1e+75"),
+    (["index", "--h", "1e308", "--n", "4"], "|h| must be <= 1e+75"),
+    (["index", "--h=-1e76", "--n", "4"], "|h| must be <= 1e+75"),
+    (["link", "--h", "2", "--spins", "1,0,0;0,1,0", "--res", "100000000"],
+     "--res must be in [16, 256], got 100000000"),
+    (["preimage", "--h", "2", "--spin", "1,0,0", "--res", "257"],
+     "--res must be in [16, 256], got 257"),
+])
+def test_out_of_range_h_or_res_is_a_usage_error(tmp_path, capsys, argv, message):
+    assert run_cli(argv, tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_large_h_below_the_bound_still_runs(tmp_path, capsys):
+    assert run_cli(["adiabatic", "--h", "1e70", "--k", "0.1,0.2,0.3"], tmp_path) == 0
+    assert run_cli(["index", "--h", "1e70", "--n", "4"], tmp_path) == 0
+    capsys.readouterr()
+    adiabatic = json.loads((tmp_path / "adiabatic_h1e+70.json").read_text())
+    index = json.loads((tmp_path / "index_h1e+70_n4.json").read_text())
+    assert adiabatic["fidelity"] >= 0.99
+    assert index["nearest_integer"] == 0
+
+
 def test_field_with_a_non_finite_entry_is_a_usage_error(tmp_path, capsys):
     doc = field_to_dict(sample_state_field(HopfParams(2.0), MeshSpec(4)))
     doc["entries"][5][0] = float("nan")

@@ -21,6 +21,9 @@ def test_params_validation():
     HopfParams(2.0)
     with pytest.raises(ValueError):
         HopfParams(np.inf)
+    HopfParams(-1e75)
+    with pytest.raises(ValueError, match="must be <= 1e\\+75"):
+        HopfParams(-1.01e75)
     with pytest.raises(ValueError):
         HopfParams(2.0, omega=0.0)
     with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from hopfsim.preimage import (
     _bloch_grid,
     _chain_segments,
     _dedupe,
+    _image_translates,
     _march_segments,
     _spherical_quad_area,
     embed_r3,
@@ -164,7 +165,7 @@ def _reference_tet_segment(pos, ids, f, g):
     if len(crossings) != 2:
         return None
     (p1, f1), (p2, f2) = crossings
-    if np.linalg.norm(p1 - p2) < 1e-12 or f1 == f2:
+    if f1 == f2:
         return None
     return (p1, f1, p2, f2)
 
@@ -321,11 +322,18 @@ def test_bloch_grid_raises_gapless_point_with_its_k():
     assert np.linalg.norm(model.u_of_k(exc.value.k, HopfParams(-1.0))) < model.GAP_TOL
 
 
-def test_preimage_res_validation():
+def test_preimage_res_validation(monkeypatch):
     with pytest.raises(ValueError):
         preimage_contours(HopfParams(2.9), (1, 0, 0), res=8)
     with pytest.raises(ValueError):
         preimage_contours(HopfParams(2.9), (1, 0, 2), res=32)
+
+    def no_grid(*args):
+        raise AssertionError("a grid was sampled")
+
+    monkeypatch.setattr(model, "bloch_grid", no_grid)
+    with pytest.raises(ValueError, match=re.escape("res must be in [16, 256], got 257")):
+        preimage_contours(HopfParams(2.1), (1, 0, 0), res=257)
 
 
 @pytest.mark.parametrize("target", [(np.nan, 0, 0), (0, np.inf, 0), (np.nan,) * 3])
@@ -493,6 +501,54 @@ def test_linking_t3_refuses_winding_loops_with_a_typed_error():
     assert exc.value.windings == ([0, 0, 0], [0, 0, 1])
 
 
+def _brute_image_translates(lo_a, hi_a, lo_b, hi_b, reach=6):
+    # every translate in a wide cube, kept unless a coordinate plane
+    # separates the shifted box b from box a
+    out = []
+    for tx in range(-reach, reach + 1):
+        for ty in range(-reach, reach + 1):
+            for tz in range(-reach, reach + 1):
+                shift = TWO_PI * np.array([tx, ty, tz], float)
+                if not (np.any(hi_b + shift < lo_a) or np.any(lo_b + shift > hi_a)):
+                    out.append((tx, ty, tz))
+    return out
+
+
+def _boxes(seed):
+    rng = np.random.default_rng(seed)
+    lo_a, lo_b = rng.uniform(-3, 9, 3), rng.uniform(-3, 9, 3)
+    return lo_a, lo_a + rng.uniform(0, 9, 3), lo_b, lo_b + rng.uniform(0, 9, 3)
+
+
+def _touching_boxes(seed, ulps):
+    # b + 2*pi*t ends where a starts on x (t = 1) and starts where a ends on y
+    # (t = -2): exactly for ulps = 0, else that many ulps apart
+    lo_a, hi_a, lo_b, hi_b = _boxes(seed)
+    lo_a[0] = hi_b[0] + TWO_PI * 1
+    hi_a[1] = lo_b[1] + TWO_PI * -2
+    for _ in range(abs(ulps)):
+        lo_a[0] = np.nextafter(lo_a[0], np.sign(ulps) * np.inf)
+        hi_a[1] = np.nextafter(hi_a[1], -np.sign(ulps) * np.inf)
+    hi_a[0], lo_a[1] = lo_a[0] + 1.0, hi_a[1] - 1.0
+    return lo_a, hi_a, lo_b, hi_b
+
+
+@pytest.mark.parametrize("ulps", [None, 0, 1, -1])
+@pytest.mark.parametrize("seed", range(10))
+def test_image_translates_match_a_brute_force_scan(ulps, seed):
+    lo_a, hi_a, lo_b, hi_b = _boxes(seed) if ulps is None else _touching_boxes(seed, ulps)
+    assert list(_image_translates(lo_a, hi_a, lo_b, hi_b)) == _brute_image_translates(
+        lo_a, hi_a, lo_b, hi_b)
+
+
+def test_image_translates_of_a_disjoint_box():
+    # box b lies between two images of a on z: no translate meets it
+    lo_a, hi_a = np.zeros(3), np.array([1.0, 1.0, 1.0])
+    lo_b, hi_b = np.array([0.0, 0.0, 2.0]), np.array([1.0, 1.0, 3.0])
+    assert list(_image_translates(lo_a, hi_a, lo_b, hi_b)) == []
+    assert _brute_image_translates(lo_a, hi_a, lo_b, hi_b) == []
+
+
 def _four_chord_gauss_sum(a, b):
     # the Gauss sum with each quadrilateral corner's chords normalized apart
     p1, q1 = a.vertices, b.vertices
@@ -581,6 +637,15 @@ def test_link_matrix_h31_unlinked_and_absent():
     assert lm.values[0][2] is None and lm.values[2][1] is None
     lone = link_matrix(HopfParams(3.1), [(1, 0, 0), (0, 0, -1)], res=48).to_dict()
     assert lone["min_separation_cells"] is None and lone["max_residual"] is None
+
+
+def test_link_matrix_at_res_160_keeps_near_zero_length_segments():
+    # at res=160 grid vertex (60, 134, 106) lies on the (0, +-1, 0) preimages,
+    # so the segments of the tetrahedra around it are about 5e-13 cells long;
+    # each still joins two faces that neighbouring tetrahedra share
+    lm = link_matrix(HopfParams(0.0), [(0, 1, 0), (0, -1, 0)], res=160)
+    assert lm.loop_counts == [2, 2]
+    assert lm.values[0][1] == lm.values[1][0] == 2
 
 
 def test_link_matrix_h0_total_linking_two():
