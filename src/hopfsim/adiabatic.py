@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import model
-from .bzgrid import PROVENANCE_SIMULATED, StateField
+from .bzgrid import PROVENANCE_SIMULATED, StateField, bloch_vectors_of
 from .errors import HopfError
 
 OMEGA_MAX = 2.0 * np.pi * 20.83e6  # rad/s, the peak Rabi frequency
@@ -219,30 +219,10 @@ class MeasurementRecord:
     key: tuple
 
 
-def _philox(key):
-    key = tuple(int(x) for x in (key if isinstance(key, (tuple, list)) else (key, 0)))
-    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
-
-
 def split_photons(photons):
     """Equal thirds across the x, y, z bases, remainder assigned to z."""
     third = photons // 3
     return {"x": third, "y": third, "z": photons - 2 * third}
-
-
-def bloch_of_state(state):
-    state = np.asarray(state, dtype=complex)
-    if state.shape == (2,):
-        a, b = state
-        cross = np.conj(a) * b
-        return np.array([2 * cross.real, 2 * cross.imag, abs(a) ** 2 - abs(b) ** 2])
-    return np.array(
-        [
-            2 * state[0, 1].real,
-            -2 * state[0, 1].imag,
-            (state[0, 0] - state[1, 1]).real,
-        ]
-    )
 
 
 def simulate_measurements(state, photons, split=None, seed=0):
@@ -260,13 +240,16 @@ def simulate_measurements(state, photons, split=None, seed=0):
     shots = dict(split) if split is not None else split_photons(photons)
     if set(shots) != set(BASES) or any(shots[b] < 1 for b in BASES):
         raise ValueError(f"allocation must cover all three bases, got {shots}")
-    s = bloch_of_state(state)
-    rng = _philox(seed)
+    state = np.asarray(state, dtype=complex)
+    if state.shape not in ((2,), (2, 2)):
+        raise ValueError(f"state must be a spinor or a 2x2 density matrix, got {state.shape}")
+    s = bloch_vectors_of(state)
+    key = tuple(int(x) for x in (seed if isinstance(seed, (tuple, list)) else (seed, 0)))
+    rng = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
     successes = {}
     for i, b in enumerate(BASES):
         p = float(np.clip((1.0 + s[i]) / 2.0, 0.0, 1.0))
         successes[b] = int(rng.binomial(shots[b], p))
-    key = tuple(int(x) for x in (seed if isinstance(seed, (tuple, list)) else (seed, 0)))
     return MeasurementRecord(shots=shots, successes=successes, key=key)
 
 

@@ -9,7 +9,7 @@ the invariant engines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,6 +60,37 @@ def _validate_rho(rho):
         raise ValueError("density matrices not positive semidefinite")
 
 
+# The state conversions take one spinor (2,) or density matrix (2, 2), or a
+# grid of either; a grid of spinors (n >= 4 per axis) never ends in (2, 2).
+
+def pure_spinors(states):
+    """Per-site pure spinors; for density matrices, the dominant eigenvector."""
+    if states.shape[-2:] != (2, 2):
+        return states
+    vals, vecs = np.linalg.eigh(states)
+    return vecs[..., :, -1]  # eigenvector of the largest eigenvalue
+
+
+def bloch_vectors_of(states):
+    """Per-site Pauli expectation values, one 3-vector per state."""
+    if states.shape[-2:] != (2, 2):
+        a, b = states[..., 0], states[..., 1]
+        cross = np.conj(a) * b
+        return np.stack(
+            [2 * cross.real, 2 * cross.imag, np.abs(a) ** 2 - np.abs(b) ** 2],
+            axis=-1,
+        )
+    r01 = states[..., 0, 1]
+    return np.stack(
+        [
+            2 * r01.real,
+            -2 * r01.imag,
+            (states[..., 0, 0] - states[..., 1, 1]).real,
+        ],
+        axis=-1,
+    )
+
+
 @dataclass
 class StateField:
     """States sampled on a mesh.
@@ -100,29 +131,11 @@ class StateField:
 
     def pure_states(self):
         """Per-site pure spinors; for density matrices, the dominant eigenvector."""
-        if self.kind == "spinor":
-            return self.data
-        vals, vecs = np.linalg.eigh(self.data)
-        return vecs[..., :, -1]  # eigenvector of the largest eigenvalue
+        return pure_spinors(self.data)
 
     def bloch_vectors(self):
         """Per-site Pauli expectation values, shape (n, n, n, 3)."""
-        if self.kind == "spinor":
-            a, b = self.data[..., 0], self.data[..., 1]
-            cross = np.conj(a) * b
-            return np.stack(
-                [2 * cross.real, 2 * cross.imag, np.abs(a) ** 2 - np.abs(b) ** 2],
-                axis=-1,
-            )
-        r01 = self.data[..., 0, 1]
-        return np.stack(
-            [
-                2 * r01.real,
-                -2 * r01.imag,
-                (self.data[..., 0, 0] - self.data[..., 1, 1]).real,
-            ],
-            axis=-1,
-        )
+        return bloch_vectors_of(self.data)
 
     def apply_gauge(self, phases):
         """New field with each site's state multiplied by exp(i*phase).
@@ -172,13 +185,12 @@ class SliceField:
     """One n x n layer of a StateField, normal to ``axis`` at ``layer``.
 
     In-plane iteration is row-major in the two remaining axes, kept in their
-    natural (x, y, z) order.
+    natural (x, y, z) order.  Conversions touch only the layer's own sites.
     """
 
     parent: StateField
     axis: str
     layer: int
-    plane_axes: tuple = field(init=False)
 
     def __post_init__(self):
         if self.axis not in _AXES:
@@ -187,16 +199,15 @@ class SliceField:
             raise IndexError(
                 f"layer {self.layer} out of range for n={self.parent.n}"
             )
-        self.plane_axes = tuple(a for a in "xyz" if a != self.axis)
 
-    def _take(self, arr):
-        return np.take(arr, self.layer, axis=_AXES[self.axis])
+    def _states(self):
+        return np.take(self.parent.data, self.layer, axis=_AXES[self.axis])
 
     def pure_states(self):
-        return self._take(self.parent.pure_states())
+        return pure_spinors(self._states())
 
     def bloch_vectors(self):
-        return self._take(self.parent.bloch_vectors())
+        return bloch_vectors_of(self._states())
 
 
 def slice_field(f, axis, layer):

@@ -171,6 +171,8 @@ def parse_config(argv):
         cfg.h = [float(h) for h in cfg.h]
         for h in cfg.h:
             model.HopfParams(h)
+            if cmd == "scaling":
+                invariants.chi_infinity(h)  # no reference index at a phase transition
         cfg.n = [int(n) for n in cfg.n]
         for n in cfg.n:
             if n < 4:

@@ -47,6 +47,11 @@ class NonzeroNetFlux(HopfError):
         self.flux = flux
 
 
+class NonIntegerFlux(HopfError, ArithmeticError):
+    """The total plaquette flux of a closed layer is not an integer, which
+    only numerical breakdown can cause."""
+
+
 class ResolutionTooCoarse(HopfError):
     """Preimage curve segments could not be chained into closed loops."""
 

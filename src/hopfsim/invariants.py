@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bzgrid import MeshSpec, SliceField, StateField, sample_state_field, slice_field
-from .errors import NonzeroNetFlux, OrthogonalNeighbors
+from .errors import NonIntegerFlux, NonzeroNetFlux, OrthogonalNeighbors
 from .model import HopfParams
 
 TOL_OVERLAP = 1e-8
@@ -23,55 +23,38 @@ _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 _CYCLIC = {0: (1, 2), 1: (2, 0), 2: (0, 1)}
 
 
-def u1_link(a, b, tol=TOL_OVERLAP):
-    """Unit-modulus overlap <a|b> / |<a|b>| between two states.
-
-    Density-matrix inputs are reduced to their dominant eigenvectors first.
-
-    Raises
-    ------
-    OrthogonalNeighbors
-        If |<a|b>| <= tol.
-    """
-    a = _dominant(np.asarray(a, dtype=complex))
-    b = _dominant(np.asarray(b, dtype=complex))
-    ov = np.vdot(a, b)
-    if abs(ov) <= tol:
-        raise OrthogonalNeighbors(
-            f"overlap magnitude {abs(ov):.2e} <= {tol:g}; mesh too coarse near a gap closing"
-        )
-    return ov / abs(ov)
+def _orthogonal(site, axis):
+    return OrthogonalNeighbors(
+        f"orthogonal neighbors at site {site} along axis {axis}", site=site, axis=axis
+    )
 
 
-def _dominant(state):
-    if state.shape == (2,):
-        return state
-    if state.shape == (2, 2):
-        _, vecs = np.linalg.eigh(state)
-        return vecs[:, -1]
-    raise ValueError(f"state must be a 2-spinor or 2x2 matrix, got {state.shape}")
+def _grid_links(states, axes):
+    """U(1) links <a|b> / |<a|b>| along the given axes of a periodic grid of
+    spinors, states of shape grid + (2,); one complex array per axis.
 
-
-def _grid_links(states, axes, tol=TOL_OVERLAP):
-    """U(1) links along the given grid axes for a periodic grid of spinors.
-
-    states has shape grid + (2,); returns one complex array per axis.
+    Raises OrthogonalNeighbors at the first site with |<a|b>| <= TOL_OVERLAP.
     """
     links = []
     for ax in axes:
         ov = np.sum(np.conj(states) * np.roll(states, -1, axis=ax), axis=-1)
         mag = np.abs(ov)
-        if mag.min() <= tol:
-            site = tuple(
-                int(x) for x in np.unravel_index(int(np.argmin(mag)), mag.shape)
-            )
-            raise OrthogonalNeighbors(
-                f"orthogonal neighbors at site {site} along axis {ax}",
-                site=site,
-                axis=ax,
-            )
+        if mag.min() <= TOL_OVERLAP:
+            site = np.unravel_index(int(np.argmin(mag)), mag.shape)
+            raise _orthogonal(tuple(int(x) for x in site), ax)
         links.append(ov / mag)
     return links
+
+
+def _plaquettes(u_nu, u_tau, nu, tau):
+    """U_nu(k) U_tau(k+nu) U_nu(k+tau)^-1 U_tau(k)^-1 on every (nu, tau)
+    plaquette of a periodic grid of links."""
+    return (
+        u_nu
+        * np.roll(u_tau, -1, axis=nu)
+        * np.conj(np.roll(u_nu, -1, axis=tau))
+        * np.conj(u_tau)
+    )
 
 
 @dataclass
@@ -113,13 +96,7 @@ def berry_curvature(f: StateField):
     values = np.empty((3, n, n, n))
     for mu in range(3):
         nu, tau = _CYCLIC[mu]
-        plaq = (
-            links[nu]
-            * np.roll(links[tau], -1, axis=nu)
-            * np.conj(np.roll(links[nu], -1, axis=tau))
-            * np.conj(links[tau])
-        )
-        values[mu] = np.angle(plaq) / (2.0 * np.pi)
+        values[mu] = np.angle(_plaquettes(links[nu], links[tau], nu, tau)) / (2.0 * np.pi)
     return CurvatureField(f.mesh, values)
 
 
@@ -128,25 +105,22 @@ def chern_number(s: SliceField):
 
     The plaquette orientation follows the cyclic convention of the normal
     axis, so the value equals the layer sum of the matching curvature
-    component.
+    component.  OrthogonalNeighbors names the field's site and axis; a sum
+    off an integer by more than 1e-6 raises NonIntegerFlux.
     """
-    states = s.pure_states()
     mu = _AXIS_INDEX[s.axis]
     nu, tau = _CYCLIC[mu]
-    # positions of the cyclic in-plane axes within the (row-major) slice grid
-    plane = [a for a in range(3) if a != mu]
-    ax_nu, ax_tau = plane.index(nu), plane.index(tau)
-    links = _grid_links(states, axes=(ax_nu, ax_tau))
-    plaq = (
-        links[0]
-        * np.roll(links[1], -1, axis=ax_nu)
-        * np.conj(np.roll(links[0], -1, axis=ax_tau))
-        * np.conj(links[1])
-    )
-    total = np.angle(plaq).sum() / (2.0 * np.pi)
+    # the layer as a one-site-thick grid, so grid axes are the field's axes
+    states = np.expand_dims(s.pure_states(), mu)
+    try:
+        links = _grid_links(states, axes=(nu, tau))
+    except OrthogonalNeighbors as err:
+        site = err.site[:mu] + (s.layer,) + err.site[mu + 1:]
+        raise _orthogonal(site, err.axis) from None
+    total = np.angle(_plaquettes(*links, nu, tau)).sum() / (2.0 * np.pi)
     c = int(np.rint(total))
     if abs(total - c) > 1e-6:
-        raise ArithmeticError(
+        raise NonIntegerFlux(
             f"slice flux sum {total!r} is not an integer; numerical breakdown"
         )
     return c

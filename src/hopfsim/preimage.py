@@ -435,32 +435,31 @@ def epsilon_neighborhood(f, target, epsilon):
 def embed_r3(c, params, chart="auto", delta_pole=model.POLE_DELTA):
     """Embed a closed T3 polyline in R3 via the S3 map and a stereographic chart.
 
-    The chart is chosen to keep every vertex clear of the projection pole;
+    With ``chart="auto"`` the chart with the larger pole clearance is used;
     vertex count, closure and orientation are preserved.  The S3 map is
     2*pi-periodic, so curves crossing the zone boundary need no unwrapping.
 
     Raises
     ------
     ChartExhausted
-        If the curve passes within delta_pole of both chart poles.
+        If the curve passes within delta_pole of the given chart's pole, or
+        of both poles for ``chart="auto"``.
+    ValueError
+        If ``chart`` is not "auto", "plus" or "minus".
     """
     if c.coords != "T3":
         raise ValueError(f"embed_r3 expects a T3 polyline, got {c.coords}")
     if not c.closed:
         raise NotClosed("embed_r3 requires a closed polyline")
+    if chart not in ("auto", "plus", "minus"):
+        raise ValueError(f"unknown chart {chart!r}; expected 'auto', 'plus' or 'minus'")
 
     eta = model.map_g(c.vertices, params)
-    clear_plus = 1.0 + eta[:, 3].min()
-    clear_minus = 1.0 - eta[:, 3].max()
-    if chart == "auto":
-        use = "plus" if clear_plus >= clear_minus else "minus"
-    else:
-        use = chart
-    clearance = clear_plus if use == "plus" else clear_minus
-    if clearance <= delta_pole:
-        raise ChartExhausted(
-            f"curve passes within {delta_pole:g} of both stereographic poles"
-        )
+    clearance = {"plus": 1.0 + eta[:, 3].min(), "minus": 1.0 - eta[:, 3].max()}
+    use = max(clearance, key=clearance.get) if chart == "auto" else chart
+    if clearance[use] <= delta_pole:
+        poles = "both stereographic poles" if chart == "auto" else f"the {use} chart pole"
+        raise ChartExhausted(f"curve passes within {delta_pole:g} of {poles}")
     verts = model.stereographic_embed(eta, chart=use, delta_pole=delta_pole)
     return Polyline(verts, "R3", True, c.target, c.h, chart=use)
 

@@ -13,7 +13,6 @@ from hopfsim.adiabatic import (
     MeasurementRecord,
     RampSchedule,
     _propagators,
-    bloch_of_state,
     build_schedule,
     evolve,
     fidelity,
@@ -229,6 +228,8 @@ def test_measurement_validation():
         simulate_measurements([1, 0], 2, seed=0)
     with pytest.raises(ValueError):
         simulate_measurements([1, 0], 10, split={"x": 10}, seed=0)
+    with pytest.raises(ValueError, match="spinor or a 2x2 density matrix"):
+        simulate_measurements([1, 0, 0], 10, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +256,7 @@ def test_mle_overlong_bloch_lands_on_boundary():
     evs = np.linalg.eigvalsh(res.rho)
     assert evs.min() > -1e-9
     assert np.trace(res.rho).real == pytest.approx(1.0, abs=1e-9)
-    assert np.linalg.norm(bloch_of_state(res.rho)) <= 1 + 1e-9
+    assert np.linalg.norm(res.bloch) <= 1 + 1e-9
 
 
 def test_mle_small_sample_physicality():

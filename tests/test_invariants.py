@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from hopfsim.bzgrid import MeshSpec, StateField, sample_state_field, slice_field
-from hopfsim.errors import NonzeroNetFlux, OrthogonalNeighbors
+from hopfsim import invariants
+from hopfsim.bzgrid import MeshSpec, StateField, pure_spinors, sample_state_field, slice_field
+from hopfsim.errors import NonIntegerFlux, NonzeroNetFlux, OrthogonalNeighbors
 from hopfsim.invariants import (
+    TOL_OVERLAP,
+    _grid_links,
     berry_connection,
     berry_curvature,
     chern_number,
@@ -14,7 +17,6 @@ from hopfsim.invariants import (
     lattice_curl,
     lattice_divergence,
     scaling_study,
-    u1_link,
 )
 from hopfsim.model import HopfParams
 
@@ -42,18 +44,27 @@ def _chern_layer_field(n=10, m0=1.0, stack_axis=2):
     return StateField(MeshSpec(n), HopfParams(2.0), data)
 
 
-def test_u1_link_examples():
-    assert u1_link([1, 0], [1, 0]) == pytest.approx(1 + 0j)
-    assert u1_link([1, 0], np.array([1, 1j]) / np.sqrt(2)) == pytest.approx(1 + 0j)
-    with pytest.raises(OrthogonalNeighbors):
-        u1_link([1, 0], [0, 1])
+def _row_links(*states):
+    # links of a periodic row of sites, each a spinor or a density matrix
+    row = np.stack([pure_spinors(np.asarray(x, dtype=complex)) for x in states])
+    return _grid_links(row, axes=(0,))[0]
 
 
-def test_u1_link_accepts_density_matrices():
+def test_grid_links_examples():
+    np.testing.assert_allclose(_row_links([1, 0], [1, 0]), [1, 1])
+    np.testing.assert_allclose(_row_links([1, 0], np.array([1, 1j]) / np.sqrt(2)), [1, 1])
+    phase = np.exp(0.7j)
+    np.testing.assert_allclose(_row_links([1, 0], [phase, 0]), [phase, np.conj(phase)])
+    with pytest.raises(OrthogonalNeighbors) as err:
+        _row_links([1, 0], [0, 1])
+    assert (err.value.site, err.value.axis) == ((0,), 0)
+
+
+def test_grid_links_accepts_density_matrices():
     psi = np.array([0.6, 0.8j])
     rho = np.outer(psi, np.conj(psi))
-    val = u1_link(rho, psi)
-    assert abs(abs(val) - 1) < 1e-12
+    val = _row_links(rho, psi)
+    assert np.abs(np.abs(val) - 1).max() < 1e-12
 
 
 def test_curvature_constant_field_is_zero():
@@ -117,6 +128,58 @@ def test_random_field_chern_integrality():
     for axis in "xyz":
         for layer in range(n):
             assert isinstance(chern_number(slice_field(f, axis, layer)), int)
+
+
+def test_chern_number_non_integer_flux_is_typed(monkeypatch):
+    # a closed layer's flux sum is an integer up to rounding; break the
+    # plaquette product to reach the check
+    plaquettes = invariants._plaquettes
+    monkeypatch.setattr(invariants, "_plaquettes", lambda *a: plaquettes(*a) * np.exp(0.3j))
+    with pytest.raises(NonIntegerFlux):
+        chern_number(slice_field(_constant_field(), "z", 0))
+
+
+def _projectors(f):
+    rho = np.einsum("...i,...j->...ij", f.data, np.conj(f.data))
+    return StateField(f.mesh, f.params, rho, provenance="simulated-experiment")
+
+
+def test_slices_convert_only_their_own_sites(monkeypatch):
+    f = sample_state_field(HopfParams(2.0), MeshSpec(6))
+    fr = _projectors(f)
+    pure = fr.pure_states()
+    for axis, ax in (("x", 0), ("y", 1), ("z", 2)):
+        for j in range(6):
+            sl = slice_field(fr, axis, j).pure_states()
+            assert sl.tobytes() == np.take(pure, j, axis=ax).tobytes()
+    seen = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        seen.append(a.size // 4)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    assert chern_numbers(fr) == chern_numbers(f)
+    assert seen == [6 * 6] * (3 * 6)
+
+
+def test_slice_chern_numbers_of_density_matrices():
+    f = _chern_layer_field()
+    cn = chern_numbers(_projectors(f))
+    assert cn == chern_numbers(f)
+    assert all(abs(c) == 1 for c in cn["z"])
+
+
+def test_slice_orthogonal_neighbors_name_field_site_and_axis():
+    f = sample_state_field(HopfParams(0.5), MeshSpec(6))
+    with pytest.raises(OrthogonalNeighbors) as err:
+        chern_numbers(f)
+    site, axis = err.value.site, err.value.axis
+    assert len(site) == 3 and axis in (0, 1, 2)
+    nb = list(site)
+    nb[axis] = (nb[axis] + 1) % 6
+    assert abs(np.vdot(f.data[tuple(site)], f.data[tuple(nb)])) <= TOL_OVERLAP
 
 
 def test_connection_zero_for_zero_curvature():

@@ -417,6 +417,18 @@ def test_embed_chart_exhausted_on_double_pole_curve():
         embed_r3(c, p)
 
 
+def test_embed_explicit_chart_checks_its_own_pole():
+    # at h=2 the curve through k=0 touches the plus chart's pole only
+    p = HopfParams(2.0)
+    c = Polyline([[0, 0, 0], [0.3, 0.1, 0.2], [0.1, 0.4, 0.2]], "T3", closed=True)
+    assert embed_r3(c, p).chart == "minus"
+    assert embed_r3(c, p, chart="minus").chart == "minus"
+    with pytest.raises(ChartExhausted, match="of the plus chart pole"):
+        embed_r3(c, p, chart="plus")
+    with pytest.raises(ValueError, match="unknown chart"):
+        embed_r3(c, p, chart="north")
+
+
 # ---------------------------------------------------------------------------
 # linking numbers
 
