@@ -24,7 +24,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import model
-from .bzgrid import PROVENANCE_SIMULATED, StateField, bloch_vectors_of
+from .bzgrid import (
+    PROVENANCE_SIMULATED,
+    StateField,
+    _validate_rho,
+    _validate_spinors,
+    bloch_vectors_of,
+)
 from .errors import HopfError
 
 OMEGA_MAX = 2.0 * np.pi * 20.83e6  # rad/s, the peak Rabi frequency
@@ -232,7 +238,8 @@ def simulate_measurements(state, photons, split=None, seed=0):
     contrast, no background counts and no control error enter the draw.
     Success probability per basis is (1 + <sigma_basis>)/2; the draw is a
     counter-based stream keyed by ``seed`` (an int or an int pair), so equal
-    keys reproduce identical records regardless of call order.
+    keys reproduce identical records regardless of call order.  A spinor off
+    unit norm, or a 2x2 that is not a density matrix, raises ValueError.
     """
     photons = int(photons)
     if photons < 3:
@@ -241,7 +248,11 @@ def simulate_measurements(state, photons, split=None, seed=0):
     if set(shots) != set(BASES) or any(shots[b] < 1 for b in BASES):
         raise ValueError(f"allocation must cover all three bases, got {shots}")
     state = np.asarray(state, dtype=complex)
-    if state.shape not in ((2,), (2, 2)):
+    if state.shape == (2,):
+        _validate_spinors(state)
+    elif state.shape == (2, 2):
+        _validate_rho(state)
+    else:
         raise ValueError(f"state must be a spinor or a 2x2 density matrix, got {state.shape}")
     s = bloch_vectors_of(state)
     key = tuple(int(x) for x in (seed if isinstance(seed, (tuple, list)) else (seed, 0)))

@@ -19,7 +19,10 @@ from .errors import EmptyInput, GaplessPoint
 PROVENANCE_ANALYTIC = "analytic"
 PROVENANCE_SIMULATED = "simulated-experiment"
 
-RHO_PHYS_TOL = 1e-9
+AXES = {"x": 0, "y": 1, "z": 2}  # field axis of each slice-normal name
+
+# bound on the unit norm of a spinor and on the physicality of a density matrix
+STATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,17 +49,22 @@ class MeshSpec:
         return 2.0 * np.pi * np.asarray(site, dtype=float) / self.n
 
 
+def _validate_spinors(psi):
+    if np.abs(model.norms(psi) - 1.0).max() > STATE_TOL:
+        raise ValueError("spinor entries must be normalized")
+
+
 def _validate_rho(rho):
     herm = np.abs(rho - np.conj(np.swapaxes(rho, -1, -2))).max()
-    if herm > RHO_PHYS_TOL:
+    if herm > STATE_TOL:
         raise ValueError(f"density matrices not Hermitian (max dev {herm:.2e})")
     tr = np.einsum("...ii->...", rho).real
-    if np.abs(tr - 1.0).max() > RHO_PHYS_TOL:
+    if np.abs(tr - 1.0).max() > STATE_TOL:
         raise ValueError("density matrices not unit trace")
     # 2x2 PSD check via det and diagonal
     det = (rho[..., 0, 0] * rho[..., 1, 1] - rho[..., 0, 1] * rho[..., 1, 0]).real
     diag_min = np.minimum(rho[..., 0, 0].real, rho[..., 1, 1].real)
-    if det.min() < -RHO_PHYS_TOL or diag_min.min() < -RHO_PHYS_TOL:
+    if det.min() < -STATE_TOL or diag_min.min() < -STATE_TOL:
         raise ValueError("density matrices not positive semidefinite")
 
 
@@ -112,9 +120,7 @@ class StateField:
             raise ValueError("state data must be finite")
         if self.data.shape == (n, n, n, 2):
             self.kind = "spinor"
-            norms = np.linalg.norm(self.data, axis=-1)
-            if np.abs(norms - 1.0).max() > 1e-9:
-                raise ValueError("spinor entries must be normalized")
+            _validate_spinors(self.data)
         elif self.data.shape == (n, n, n, 2, 2):
             self.kind = "rho"
             _validate_rho(self.data)
@@ -163,11 +169,9 @@ def sample_state_field(params, mesh):
     """
     k = mesh.points()
     u = model.u_of_k(k, params)
-    norms = np.linalg.norm(u, axis=-1)
-    if norms.min() < model.GAP_TOL:
-        site = tuple(
-            int(x) for x in np.unravel_index(int(np.argmin(norms)), norms.shape)
-        )
+    mag = model.norms(u)
+    if mag.min() < model.GAP_TOL:
+        site = tuple(int(x) for x in np.unravel_index(int(np.argmin(mag)), mag.shape))
         raise GaplessPoint(
             f"gap closes at mesh site {site}, k/2pi="
             f"{(np.asarray(site) / mesh.n).tolist()} for h={params.h}",
@@ -175,9 +179,6 @@ def sample_state_field(params, mesh):
             site=site,
         )
     return StateField(mesh, params, model.ground_state(k, params))
-
-
-_AXES = {"x": 0, "y": 1, "z": 2}
 
 
 @dataclass
@@ -193,7 +194,7 @@ class SliceField:
     layer: int
 
     def __post_init__(self):
-        if self.axis not in _AXES:
+        if self.axis not in AXES:
             raise ValueError(f"axis must be one of x, y, z, got {self.axis!r}")
         if not 0 <= self.layer < self.parent.n:
             raise IndexError(
@@ -201,7 +202,7 @@ class SliceField:
             )
 
     def _states(self):
-        return np.take(self.parent.data, self.layer, axis=_AXES[self.axis])
+        return np.take(self.parent.data, self.layer, axis=AXES[self.axis])
 
     def pure_states(self):
         return pure_spinors(self._states())

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bzgrid import MeshSpec, SliceField, StateField, sample_state_field, slice_field
+from .bzgrid import AXES, MeshSpec, SliceField, StateField, sample_state_field, slice_field
 from .errors import NonIntegerFlux, NonzeroNetFlux, OrthogonalNeighbors
 from .model import HopfParams
 
 TOL_OVERLAP = 1e-8
 
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 _CYCLIC = {0: (1, 2), 1: (2, 0), 2: (0, 1)}
 
 
@@ -35,14 +34,19 @@ def _grid_links(states, axes):
 
     Raises OrthogonalNeighbors at the first site with |<a|b>| <= TOL_OVERLAP.
     """
+    # the overlap sums the two spinor component planes, not a length-2 axis
+    up, down = states[..., 0], states[..., 1]
+    up_bar, down_bar = np.conj(up), np.conj(down)
     links = []
     for ax in axes:
-        ov = np.sum(np.conj(states) * np.roll(states, -1, axis=ax), axis=-1)
+        ov = up_bar * np.roll(up, -1, axis=ax)
+        ov += down_bar * np.roll(down, -1, axis=ax)
         mag = np.abs(ov)
         if mag.min() <= TOL_OVERLAP:
             site = np.unravel_index(int(np.argmin(mag)), mag.shape)
             raise _orthogonal(tuple(int(x) for x in site), ax)
-        links.append(ov / mag)
+        ov /= mag
+        links.append(ov)
     return links
 
 
@@ -70,7 +74,7 @@ class CurvatureField:
 
     def layer_sums(self, axis):
         """Total flux per layer normal to ``axis``; integers up to rounding."""
-        mu = _AXIS_INDEX[axis]
+        mu = AXES[axis]
         other = tuple(a for a in range(3) if a != mu)
         return self.values[mu].sum(axis=other)
 
@@ -108,7 +112,7 @@ def chern_number(s: SliceField):
     component.  OrthogonalNeighbors names the field's site and axis; a sum
     off an integer by more than 1e-6 raises NonIntegerFlux.
     """
-    mu = _AXIS_INDEX[s.axis]
+    mu = AXES[s.axis]
     nu, tau = _CYCLIC[mu]
     # the layer as a one-site-thick grid, so grid axes are the field's axes
     states = np.expand_dims(s.pure_states(), mu)
@@ -134,13 +138,9 @@ def chern_numbers(f: StateField):
     }
 
 
-def _forward_symbols(n):
-    m = np.fft.fftfreq(n, d=1.0 / n)  # integer mode numbers
-    d = np.exp(2j * np.pi * m / n) - 1.0
-    return [
-        d.reshape([-1 if a == ax else 1 for a in range(3)]) * np.ones((n, n, n), complex)
-        for ax in range(3)
-    ]
+def _along(vec, ax):
+    """A 1-D array over mode numbers, shaped to broadcast along grid axis ``ax``."""
+    return vec.reshape([-1 if a == ax else 1 for a in range(3)])
 
 
 def berry_connection(curv: CurvatureField):
@@ -171,20 +171,22 @@ def berry_connection(curv: CurvatureField):
                 flux=float(sums[worst]),
             )
 
-    fhat = np.stack([np.fft.fftn(curv.values[mu]) for mu in range(3)])
-    d = np.stack(_forward_symbols(n))
-    dbar = np.conj(d)
-    denom = np.sum(np.abs(d) ** 2, axis=0)
+    fhat = [np.fft.fftn(curv.values[mu]) for mu in range(3)]
+    m = np.fft.fftfreq(n, d=1.0 / n)  # integer mode numbers
+    d = np.exp(2j * np.pi * m / n) - 1.0
+    dbar = [_along(np.conj(d), ax) for ax in range(3)]
+    sq = np.abs(d) ** 2
+    denom = _along(sq, 0) + _along(sq, 1) + _along(sq, 2)
     denom[0, 0, 0] = 1.0  # zero mode handled below
-    ahat = np.stack(
-        [
-            -(dbar[(mu + 1) % 3] * fhat[(mu + 2) % 3]
-              - dbar[(mu + 2) % 3] * fhat[(mu + 1) % 3]) / denom
-            for mu in range(3)
-        ]
-    )
-    ahat[:, 0, 0, 0] = 0.0
-    a = np.stack([np.fft.ifftn(ahat[mu]).real for mu in range(3)])
+    a = np.empty_like(curv.values)
+    for mu in range(3):
+        nu, tau = _CYCLIC[mu]
+        ahat = dbar[nu] * fhat[tau]
+        ahat -= dbar[tau] * fhat[nu]
+        np.negative(ahat, out=ahat)
+        ahat /= denom
+        ahat[0, 0, 0] = 0.0
+        a[mu] = np.fft.ifftn(ahat).real
     return ConnectionField(curv.mesh, a)
 
 
@@ -229,7 +231,7 @@ def _recenter_to_sites(curv, conn):
     def shift(arr, axes):
         ah = np.fft.fftn(arr)
         for ax in axes:
-            ah = ah * half.reshape([-1 if a == ax else 1 for a in range(3)])
+            ah *= _along(half, ax)
         return np.fft.ifftn(ah).real
 
     f_sites = np.empty_like(curv.values)

@@ -78,14 +78,32 @@ def _fill_u(u, sx, sy, sz, c):
     return u
 
 
+def norms(v):
+    """|v| over the last axis, ``np.linalg.norm(v, axis=-1)`` bit for bit.
+
+    The squares of the components are summed one component array at a time
+    in norm's order ((conj(v_i) v_i).real, left to right), so no reduction
+    runs over the short last axis; v may be one vector (0-d result).
+    """
+    out = np.empty(v.shape[:-1])
+    for i in range(v.shape[-1]):
+        c = v[..., i]
+        sq = (np.conj(c) * c).real if np.iscomplexobj(c) else np.square(c)
+        if i == 0:
+            out[...] = sq
+        else:
+            out += sq
+    return np.sqrt(out, out=out)
+
+
 def energy_gap(k, params):
     """Band gap 2 * omega * |u(k)|."""
-    return 2.0 * params.omega * np.linalg.norm(u_of_k(k, params), axis=-1)
+    return 2.0 * params.omega * norms(u_of_k(k, params))
 
 
-def _check_gapped(norms, k):
-    if np.any(norms < GAP_TOL):
-        idx = np.unravel_index(int(np.argmin(norms)), norms.shape)
+def _check_gapped(mag, k):
+    if np.any(mag < GAP_TOL):
+        idx = np.unravel_index(int(np.argmin(mag)), mag.shape)
         bad_k = np.asarray(k, dtype=float)[idx] if np.ndim(k) > 1 else np.asarray(k)
         raise GaplessPoint(
             f"|u(k)| < {GAP_TOL:g} at k={np.round(bad_k, 12).tolist()}; "
@@ -106,7 +124,7 @@ def ground_state(k, params):
         If |u(k)| < 1e-12 anywhere in the batch.
     """
     u = u_of_k(k, params)
-    n = np.linalg.norm(u, axis=-1)
+    n = norms(u)
     _check_gapped(n, k)
     ux, uy, uz = u[..., 0], u[..., 1], u[..., 2]
     psi = np.empty(u.shape[:-1] + (2,), dtype=complex)
@@ -117,14 +135,14 @@ def ground_state(k, params):
     lower = uz <= 0
     psi[..., 0] = np.where(lower, n - uz, -(ux - 1j * uy))
     psi[..., 1] = np.where(lower, -(ux + 1j * uy), n + uz)
-    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    psi /= norms(psi)[..., None]
     return psi
 
 
 def bloch_ground(k, params):
     """Ground-state Bloch vector S(k) = -u(k)/|u(k)| (lower-band convention)."""
     u = u_of_k(k, params)
-    n = np.linalg.norm(u, axis=-1)
+    n = norms(u)
     _check_gapped(n, k)
     return -u / n[..., None]
 
@@ -146,11 +164,7 @@ def bloch_grid(res, params):
     x, y, z = (slice(None), None, None), (None, slice(None), None), (None, None, slice(None))
     c = cos[x] + cos[y] + cos[z] + params.h
     u = _fill_u(np.empty((res, res, res, 3)), sin[x], sin[y], sin[z], c)
-    # |u| in np.linalg.norm's order of operations, so S is bloch_ground's bit for bit
-    n = np.square(u[..., 0])
-    n += np.square(u[..., 1])
-    n += np.square(u[..., 2])
-    np.sqrt(n, out=n)
+    n = norms(u)
     if np.any(n < GAP_TOL):
         worst = np.unravel_index(int(np.argmin(n)), n.shape)
         _check_gapped(n[worst], grid[list(worst)])

@@ -230,6 +230,12 @@ def test_measurement_validation():
         simulate_measurements([1, 0], 10, split={"x": 10}, seed=0)
     with pytest.raises(ValueError, match="spinor or a 2x2 density matrix"):
         simulate_measurements([1, 0, 0], 10, seed=0)
+    with pytest.raises(ValueError, match="normalized"):
+        simulate_measurements(np.array([2, 0]), 300, seed=1)
+    with pytest.raises(ValueError, match="unit trace"):
+        simulate_measurements(np.eye(2), 300, seed=1)
+    rec = simulate_measurements(np.diag([1.0, 0.0]), 300, seed=1)
+    assert rec.successes["z"] == rec.shots["z"]
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,15 @@ def test_sample_state_field_gapless():
     assert err.value.site in {(0, 5, 5), (5, 0, 5), (5, 5, 0)}
 
 
+def test_sample_state_field_gapless_names_the_first_closing_site():
+    # three sites close the gap at h=1 on an n=8 mesh; the |u| of the gap check
+    # must keep picking the first of them in row-major order
+    with pytest.raises(GaplessPoint) as err:
+        sample_state_field(HopfParams(1.0), MeshSpec(8))
+    assert err.value.site == (0, 4, 4)
+    np.testing.assert_array_equal(err.value.k, [0.0, np.pi, np.pi])
+
+
 def test_slice_views_and_reassembly():
     f = sample_state_field(HopfParams(2.0), MeshSpec(6))
     for axis, ax_idx in (("x", 0), ("y", 1), ("z", 2)):

@@ -67,6 +67,23 @@ def test_grid_links_accepts_density_matrices():
     assert np.abs(np.abs(val) - 1).max() < 1e-12
 
 
+def test_grid_links_match_the_summed_overlap():
+    # reference: the overlap as a sum over the spinor axis, then normalized
+    n = 7
+    rng = np.random.default_rng(11)
+    data = rng.normal(size=(n, n, n, 2)) + 1j * rng.normal(size=(n, n, n, 2))
+    data /= np.linalg.norm(data, axis=-1, keepdims=True)
+    f = StateField(MeshSpec(n), HopfParams(2.0), data)
+    gauged = f.apply_gauge(rng.uniform(0, 2 * np.pi, (n,) * 3))
+    rho = np.einsum("...i,...j->...ij", data, np.conj(data))
+    mixed = StateField(MeshSpec(n), HopfParams(2.0), rho)
+    for field in (f, gauged, mixed):
+        s = field.pure_states()
+        for ax, link in enumerate(_grid_links(s, axes=(0, 1, 2))):
+            ov = np.sum(np.conj(s) * np.roll(s, -1, ax), -1)
+            np.testing.assert_allclose(link, ov / np.abs(ov), rtol=0, atol=1e-15)
+
+
 def test_curvature_constant_field_is_zero():
     curv = berry_curvature(_constant_field())
     assert np.abs(curv.values).max() == 0.0
@@ -204,6 +221,26 @@ def test_hopf_index_quantization(h, target, band):
     assert abs(res.chi - target) <= band
     assert res.nearest_integer == target
     assert res.deviation == pytest.approx(abs(res.chi - target))
+
+
+# chi of the analytic field, recorded from the pipeline before its per-site
+# arithmetic was rewritten; any later change to the pipeline shows up here
+RECORDED_CHI = {
+    (2.0, 10): 1.0204361690183925,
+    (2.0, 17): 1.0081011194706968,
+    (0.5, 10): -2.0079938858147415,
+    (0.5, 17): -2.0243460608001786,
+    (-2.0, 10): 1.0204361690183925,
+    (-2.0, 17): 1.008098263827885,
+    (3.5, 10): 0.0019593822977632693,
+    (3.5, 17): 0.00017759623544055152,
+}
+
+
+@pytest.mark.parametrize("h,n", sorted(RECORDED_CHI))
+def test_hopf_index_matches_recorded_values(h, n):
+    chi = hopf_index(sample_state_field(HopfParams(h), MeshSpec(n))).chi
+    assert abs(chi - RECORDED_CHI[h, n]) <= 1e-12
 
 
 def test_hopf_index_from_density_matrices():
