@@ -34,7 +34,8 @@ def _grid_links(states, axes):
 
     Raises OrthogonalNeighbors at the first site with |<a|b>| <= TOL_OVERLAP.
     """
-    # the overlap sums the two spinor component planes, not a length-2 axis
+    # two component planes, not a sum over the length-2 spinor axis: numpy
+    # runs such a reduction as one inner-loop call per site
     up, down = states[..., 0], states[..., 1]
     up_bar, down_bar = np.conj(up), np.conj(down)
     links = []

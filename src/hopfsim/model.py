@@ -79,21 +79,23 @@ def _fill_u(u, sx, sy, sz, c):
 
 
 def norms(v):
-    """|v| over the last axis, ``np.linalg.norm(v, axis=-1)`` bit for bit.
+    """|v| over the last axis (length 2 or more), ``np.linalg.norm(v, axis=-1)``
+    bit for bit.
 
-    The squares of the components are summed one component array at a time
-    in norm's order ((conj(v_i) v_i).real, left to right), so no reduction
-    runs over the short last axis; v may be one vector (0-d result).
+    The squares (conj(v) v).real are summed one component plane at a time,
+    left to right as norm sums them, so no reduction runs over the short last
+    axis; one vector gives a scalar.
     """
-    out = np.empty(v.shape[:-1])
-    for i in range(v.shape[-1]):
-        c = v[..., i]
-        sq = (np.conj(c) * c).real if np.iscomplexobj(c) else np.square(c)
-        if i == 0:
-            out[...] = sq
-        else:
-            out += sq
-    return np.sqrt(out, out=out)
+    if np.iscomplexobj(v):
+        sq = np.conj(v)
+        sq *= v
+        sq = sq.real
+    else:
+        sq = np.square(v)
+    total = sq[..., 0] + sq[..., 1]
+    for i in range(2, v.shape[-1]):
+        total += sq[..., i]
+    return np.sqrt(total)
 
 
 def energy_gap(k, params):

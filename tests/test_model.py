@@ -10,6 +10,7 @@ from hopfsim.model import (
     ground_state,
     hopf_f,
     map_g,
+    norms,
     stereographic_embed,
     u_of_k,
 )
@@ -59,6 +60,14 @@ def test_energy_gap_scales_with_omega():
     g3 = energy_gap(k, HopfParams(2.0, omega=3.0))
     assert np.isclose(g3, 3 * g1)
     assert np.isclose(g1, 2 * np.linalg.norm(u_of_k(k, HopfParams(2.0))))
+
+
+def test_norms_equal_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(2)
+    u = rng.normal(size=(5, 6, 7, 3)) * np.exp(4 * rng.normal(size=(5, 6, 7, 3)))
+    psi = rng.normal(size=(9, 2)) + 1j * rng.normal(size=(9, 2))
+    for v in (u, psi, u[1, 2, 3], psi[0], u[:, ::2]):
+        np.testing.assert_array_equal(norms(v), np.linalg.norm(v, axis=-1))
 
 
 def test_ground_state_examples():
