@@ -79,22 +79,17 @@ def _fill_u(u, sx, sy, sz, c):
 
 
 def norms(v):
-    """|v| over the last axis (length 2 or more), ``np.linalg.norm(v, axis=-1)``
-    bit for bit.
+    """|v| over the last axis, ``np.linalg.norm(v, axis=-1)`` bit for bit.
 
-    The squares (conj(v) v).real are summed one component plane at a time,
-    left to right as norm sums them, so no reduction runs over the short last
-    axis; one vector gives a scalar.
+    The squares (conj(v_i) v_i).real are summed one component plane at a
+    time, left to right as norm sums them, so no reduction runs over the
+    short last axis and no temporary is larger than one plane; one vector
+    gives a scalar.
     """
-    if np.iscomplexobj(v):
-        sq = np.conj(v)
-        sq *= v
-        sq = sq.real
-    else:
-        sq = np.square(v)
-    total = sq[..., 0] + sq[..., 1]
-    for i in range(2, v.shape[-1]):
-        total += sq[..., i]
+    square = (lambda c: (np.conj(c) * c).real) if np.iscomplexobj(v) else np.square
+    total = square(v[..., 0])
+    for i in range(1, v.shape[-1]):
+        total += square(v[..., i])
     return np.sqrt(total)
 
 
