@@ -76,8 +76,8 @@ def test_grid_links_match_the_summed_overlap():
     f = StateField(MeshSpec(n), HopfParams(2.0), data)
     gauged = f.apply_gauge(rng.uniform(0, 2 * np.pi, (n,) * 3))
     rho = np.einsum("...i,...j->...ij", data, np.conj(data))
-    mixed = StateField(MeshSpec(n), HopfParams(2.0), rho)
-    for field in (f, gauged, mixed):
+    as_rho = StateField(MeshSpec(n), HopfParams(2.0), rho)
+    for field in (f, gauged, as_rho):
         s = field.pure_states()
         for ax, link in enumerate(_grid_links(s, axes=(0, 1, 2))):
             ov = np.sum(np.conj(s) * np.roll(s, -1, ax), -1)
