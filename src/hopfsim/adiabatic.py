@@ -5,11 +5,13 @@ ramp that carries the spin from |0> to the ground state of the normalized
 target Hamiltonian, integrate the rotating-frame Schrodinger equation with
 exact SU(2) steps, draw photon-shot-noise Pauli measurements, and
 reconstruct the density matrix by maximum-likelihood tomography.  A
-campaign runs that pipeline on arrays of sites: the steps are unit
-quaternions reduced by a pairwise tree, the drive phase is a frame rotation
-applied after the evolution, so the ramp-up segment is shared by all sites,
-and the MLE has a closed form.  Per-site counter-based random streams make
-campaigns reproducible and independent of scheduling order.
+campaign runs that pipeline as array code over the mesh.  The drive phase
+is a frame rotation applied after the evolution, so a passage depends on
+its site only through its final (|Omega|, Delta) and each distinct passage
+is evolved once; the steps are unit quaternions reduced by a pairwise tree,
+the ramp-up segment is shared by all passages, and the MLE has a closed
+form.  Per-site counter-based random streams make campaigns reproducible
+and independent of scheduling order.
 
 The photon model is ideal: each photon is one projective sample in its
 Pauli basis.  There is no readout contrast, no background count and no
@@ -18,6 +20,7 @@ control error, so shot noise is the only noise.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -31,15 +34,15 @@ from .bzgrid import (
     _validate_spinors,
     bloch_vectors_of,
 )
-from .errors import HopfError
+from .errors import GaplessPoint, HopfError
 
 OMEGA_MAX = 2.0 * np.pi * 20.83e6  # rad/s, the peak Rabi frequency
 SEGMENT_DURATION = 500e-9  # s per linear ramp
 SAMPLE_RATE = 8e9  # Hz, waveform sampling
 DEFAULT_PHOTONS = 93_000
 
-# Sites evolved together.  A segment of 4000 steps then takes about 1 MB per
-# quaternion array; larger chunks raise the peak memory and run no faster.
+# Passages evolved together.  A segment of 4000 steps then takes about 1 MB
+# per quaternion array; larger chunks raise the peak memory and run no faster.
 SITE_CHUNK = 8
 
 BASES = ("x", "y", "z")
@@ -88,8 +91,7 @@ class RampSchedule:
         """Control tuples on the uniform sample grid, (t, |Omega|, phi, Delta)."""
         nsteps = int(round(self.duration / self.sample_dt))
         t = np.arange(nsteps + 1) * self.sample_dt
-        om, ph, de = self.controls(t)
-        return t, om, ph, de
+        return (t, *self.controls(t))
 
 
 def build_schedule(k, params, segment_duration=SEGMENT_DURATION):
@@ -105,21 +107,24 @@ def build_schedule(k, params, segment_duration=SEGMENT_DURATION):
         If |u(k)| vanishes.
     """
     u = model.u_of_k(k, params)
-    norm = float(np.linalg.norm(u))
-    if norm < model.GAP_TOL:
-        from .errors import GaplessPoint
+    if model.norms(u) < model.GAP_TOL:
+        raise _gapless(k)
+    omega_final, delta_final, phi = map(float, _final_controls(u))
+    return RampSchedule(phi=phi, delta_start=-OMEGA_MAX, delta_final=delta_final,
+                        omega_peak=OMEGA_MAX, omega_final=omega_final,
+                        segment_duration=segment_duration)
 
-        raise GaplessPoint(f"cannot build a passage onto a gapless point k={k}", k=k)
-    trans = float(np.hypot(u[..., 0], u[..., 1]))
-    scale = OMEGA_MAX / max(trans, abs(float(u[..., 2])))
-    return RampSchedule(
-        phi=float(np.arctan2(u[..., 1], u[..., 0])),
-        delta_start=-OMEGA_MAX,
-        delta_final=float(u[..., 2]) * scale,
-        omega_peak=OMEGA_MAX,
-        omega_final=trans * scale,
-        segment_duration=segment_duration,
-    )
+
+def _gapless(k):
+    return GaplessPoint(f"cannot build a passage onto a gapless point k={k}", k=k)
+
+
+def _final_controls(u):
+    """(omega_final, delta_final, phi) of the passages onto the ground states
+    of u (..., 3): u scaled so max(|transverse|, |uz|) is OMEGA_MAX."""
+    trans = np.hypot(u[..., 0], u[..., 1])
+    scale = OMEGA_MAX / np.maximum(trans, np.abs(u[..., 2]))
+    return trans * scale, u[..., 2] * scale, np.arctan2(u[..., 1], u[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -166,41 +171,42 @@ def _ramp_up(omega_peak, delta_start, seg, dt, nsteps):
     return tuple(_step_product(t, dt, seg, omega_peak, omega_peak, delta_start, delta_start))
 
 
-def _propagators(schedules, dt=None):
-    """Total unitaries (m, 2, 2) of passages sharing segment 1 (timing, peak
-    Rabi frequency and start detuning, as from ``build_schedule``).
+def _propagators(omega_final, delta_final, seg=SEGMENT_DURATION, dt=1.0 / SAMPLE_RATE,
+                 omega_peak=OMEGA_MAX, delta_start=-OMEGA_MAX):
+    """Normalized Cayley-Klein pairs (a, b), shape (2, m), of the total
+    unitaries at phi = 0 of passages that share segment 1 (timing, peak Rabi
+    frequency and start detuning) and end at the final controls (m,).
 
     Each step, an exact exponential at its midpoint, is in the segment that
-    holds its midpoint.  Passages run at phi = 0 and are rotated after, since
+    holds its midpoint.  The drive phase is applied after, since
     U_phi = Rz(phi) U_0 Rz(-phi) turns b by exp(i phi).
     """
-    s = schedules[0]
-    dt = s.sample_dt if dt is None else dt
-    if dt > s.sample_dt * (1 + 1e-12):
-        raise ValueError(f"dt={dt} exceeds the schedule sampling interval {s.sample_dt}")
-    seg, nsteps = s.segment_duration, int(round(s.duration / dt))
+    nsteps = int(round(3.0 * seg / dt))
     b1, b2 = (min(max(int(np.ceil(j * seg / dt - 0.5)), 0), nsteps) for j in (1, 2))
-    q = np.array(_ramp_up(s.omega_peak, s.delta_start, seg, dt, b1))[:, None]
-    om_final, de_final, phi = np.array([[x.omega_final, x.delta_final, x.phi] for x in schedules]).T
+    q = np.array(_ramp_up(omega_peak, delta_start, seg, dt, b1))[:, None]
     for lo, hi in ((b1, b2), (b2, nsteps)):
         t = (np.arange(lo, hi) + 0.5) * dt
-        q = _qmul(_step_product(t, dt, seg, s.omega_peak, om_final[:, None],
-                                s.delta_start, de_final[:, None]), q)
-    a, b = q / np.sqrt((q.real**2 + q.imag**2).sum(axis=0))  # rounding drifts |q| ~1e-12
-    b = b * np.exp(1j * phi)
-    return np.stack([a, -b.conj(), b, a.conj()], axis=-1).reshape(-1, 2, 2)
+        q = _qmul(_step_product(t, dt, seg, omega_peak, omega_final[:, None],
+                                delta_start, delta_final[:, None]), q)
+    return q / np.sqrt((q.real**2 + q.imag**2).sum(axis=0))  # rounding drifts |q| ~1e-12
 
 
 def propagator(schedule, dt=None):
     """Total unitary of a schedule from midpoint-sampled exact SU(2) steps."""
-    return _propagators([schedule], dt)[0]
+    s = schedule
+    dt = s.sample_dt if dt is None else dt
+    if dt > s.sample_dt * (1 + 1e-12):
+        raise ValueError(f"dt={dt} exceeds the schedule sampling interval {s.sample_dt}")
+    a, b = _propagators(np.array([s.omega_final]), np.array([s.delta_final]),
+                        s.segment_duration, dt, s.omega_peak, s.delta_start)
+    b = b * np.exp(1j * np.array([s.phi]))  # the campaign's rotation, on a batch of one
+    return np.stack([a, -b.conj(), b, a.conj()], axis=-1).reshape(2, 2)
 
 
 def evolve(schedule, initial, dt=None):
     """Final state of the passage; exactly norm-preserving per step."""
     initial = np.asarray(initial, dtype=complex)
-    if abs(np.linalg.norm(initial) - 1.0) > 1e-9:
-        raise ValueError("initial state must be normalized")
+    _validate_spinors(initial)
     return propagator(schedule, dt) @ initial
 
 
@@ -231,8 +237,9 @@ def split_photons(photons):
     return {"x": third, "y": third, "z": photons - 2 * third}
 
 
-def simulate_measurements(state, photons, split=None, seed=0):
-    """Binomial photon counts in the three Pauli bases.
+def simulate_measurements(state, photons, seed=0):
+    """Binomial photon counts in the three Pauli bases, shots split as by
+    ``split_photons``.
 
     Each photon is an ideal projective sample in its basis: no readout
     contrast, no background counts and no control error enter the draw.
@@ -244,9 +251,7 @@ def simulate_measurements(state, photons, split=None, seed=0):
     photons = int(photons)
     if photons < 3:
         raise ValueError(f"need at least 3 photons, got {photons}")
-    shots = dict(split) if split is not None else split_photons(photons)
-    if set(shots) != set(BASES) or any(shots[b] < 1 for b in BASES):
-        raise ValueError(f"allocation must cover all three bases, got {shots}")
+    shots = split_photons(photons)
     state = np.asarray(state, dtype=complex)
     if state.shape == (2,):
         _validate_spinors(state)
@@ -372,8 +377,11 @@ def mle_tomography(record, reference=None):
     monotone 1-D solve on mu makes sum_b r_b(mu)^2 = 1.  This is a batch of
     one through the function the campaign runs on all its sites.
     """
-    if any(record.shots[b] < 1 for b in BASES):
-        raise ValueError("every basis needs at least one shot")
+    s, n = record.successes, record.shots
+    if not all(n[b] >= 1 and isinstance(s[b], (int, np.integer)) and 0 <= s[b] <= n[b]
+               for b in BASES):
+        raise ValueError("every basis needs at least one shot and integer successes in "
+                         f"[0, shots], got successes {s} of shots {n}")
     r, iterations, _ = _mle_bloch([record])
     rho = _rho_of_bloch(r[0])
     return TomographyResult(
@@ -401,9 +409,7 @@ class FidelityStats:
 
     def to_dict(self):
         counts, edges = self.histogram
-        per_site = [
-            float(x) if np.isfinite(x) else None for x in self.per_site.ravel()
-        ]
+        per_site = [float(x) if np.isfinite(x) else None for x in self.per_site.ravel()]
         return {
             "mean_fidelity": self.mean,
             "median_fidelity": self.median,
@@ -425,58 +431,51 @@ def run_campaign(params, mesh, photons_per_site=DEFAULT_PHOTONS, seed=0,
                  threads=1):
     """Simulated tomography of every mesh site.
 
-    The sites whose passage can be built run in fixed row-major chunks of
-    ``SITE_CHUNK``: a chunk's passages are evolved together, each site is
-    measured on its own random stream keyed by (seed, row-major site index),
-    and the chunk's records go through the MLE of ``mle_tomography`` as one
-    batch.  ``threads`` workers (0: one per CPU, never more than there are
-    chunks) take whole chunks; numpy releases the interpreter lock in the
-    array work.  Chunks do not depend on ``threads``, so every thread count
-    gives byte-identical output.  A gapless site keeps the maximally mixed
+    u(k) is evaluated once over the mesh.  Each distinct pair of final
+    controls (omega_final, delta_final) is evolved once, the distinct
+    passages in fixed chunks of ``SITE_CHUNK``; every site then takes its
+    passage's state rotated by its own drive phase.  Each site is measured on
+    its own random stream keyed by (seed, row-major site index), and all
+    records go through the MLE of ``mle_tomography`` as one batch.
+    ``threads`` workers (0: one per CPU, never more than there are chunks)
+    take whole chunks; numpy releases the interpreter lock in the array work.
+    Chunks do not depend on ``threads``, so every thread count gives
+    byte-identical output.  A gapless site keeps the maximally mixed
     placeholder and is listed in ``stats.errors``, in row-major order.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
     n = mesh.n
-    sites = list(np.ndindex(n, n, n))
-    ok, schedules, refs, errors = [], [], [], []
-    for i, site in enumerate(sites):
-        k = mesh.site_k(site)
-        try:
-            schedule, ref = build_schedule(k, params), model.ground_state(k, params)
-        except HopfError as err:
-            errors.append((site, err))
-            continue
-        ok.append(i)
-        schedules.append(schedule)
-        refs.append(ref)
-    if not ok:
+    k = mesh.points().reshape(-1, 3)
+    u = model.u_of_k(k, params)
+    gapless = model.norms(u) < model.GAP_TOL
+    errors = [(site, _gapless(mesh.site_k(site)))
+              for site in map(tuple, np.argwhere(gapless.reshape(n, n, n)).tolist())]
+    if gapless.all():
         raise HopfError("every site of the campaign failed")
-    rho = np.tile(0.5 * np.eye(2, dtype=complex), (len(sites), 1, 1))
-    fids = np.full(len(sites), np.nan)
-    on_sphere = np.zeros(len(sites), dtype=bool)
-
-    def run_chunk(chunk):
-        ids = ok[chunk]
-        records = [simulate_measurements(u[:, 0], photons_per_site, seed=(seed, i))
-                   for i, u in zip(ids, _propagators(schedules[chunk]))]
-        r, _, on_sphere[ids] = _mle_bloch(records)
-        rho[ids] = _rho_of_bloch(r)
-        fids[ids] = [fidelity(x, ref) for x, ref in zip(rho[ids], refs[chunk])]
-
-    chunks = [slice(j, j + SITE_CHUNK) for j in range(0, len(ok), SITE_CHUNK)]
-    if threads == 0:
-        import os
-
-        threads = os.cpu_count() or 1
-    if min(threads, len(chunks)) > 1:
+    ok = np.flatnonzero(~gapless)
+    omega_final, delta_final, phi = _final_controls(u[ok])
+    passages, inverse = np.unique(np.stack([omega_final, delta_final], axis=-1), axis=0,
+                                  return_inverse=True)
+    cuts = range(SITE_CHUNK, len(passages), SITE_CHUNK)
+    chunks = np.split(passages[:, 0], cuts), np.split(passages[:, 1], cuts)
+    workers = min(threads or os.cpu_count() or 1, len(chunks[0]))
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
-            list(pool.map(run_chunk, chunks))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            pairs = list(pool.map(_propagators, *chunks))
     else:
-        for chunk in chunks:
-            run_chunk(chunk)
+        pairs = list(map(_propagators, *chunks))
+    a, b = np.concatenate(pairs, axis=1)[:, inverse]
+    states = np.stack([a, b * np.exp(1j * phi)], axis=-1)
+    records = [simulate_measurements(psi, photons_per_site, seed=(seed, i))
+               for i, psi in zip(ok, states)]
+    r, _, on_sphere = _mle_bloch(records)
+    rho = np.tile(0.5 * np.eye(2, dtype=complex), (n**3, 1, 1))
+    rho[ok] = _rho_of_bloch(r)
+    fids = np.full(n**3, np.nan)
+    fids[ok] = [fidelity(x, ref) for x, ref in zip(rho[ok], model.ground_state(k[ok], params))]
 
     field = StateField(mesh, params, rho.reshape(n, n, n, 2, 2),
                        provenance=PROVENANCE_SIMULATED)
@@ -489,6 +488,6 @@ def run_campaign(params, mesh, photons_per_site=DEFAULT_PHOTONS, seed=0,
         per_site=fids.reshape(n, n, n),
         histogram=(np.histogram(valid, bins=edges)[0], edges),
         errors=errors,
-        boundary_share=float(on_sphere[ok].mean()),
+        boundary_share=float(on_sphere.mean()),
     )
     return CampaignResult(field=field, stats=stats)
