@@ -7,11 +7,13 @@ exact SU(2) steps, draw photon-shot-noise Pauli measurements, and
 reconstruct the density matrix by maximum-likelihood tomography.  A
 campaign runs that pipeline as array code over the mesh.  The drive phase
 is a frame rotation applied after the evolution, so a passage depends on
-its site only through its final (|Omega|, Delta) and each distinct passage
-is evolved once; the steps are unit quaternions reduced by a pairwise tree,
-the ramp-up segment is shared by all passages, and the MLE has a closed
-form.  Per-site counter-based random streams make campaigns reproducible
-and independent of scheduling order.
+its site only through its final (|Omega|, Delta); the ramp-up is shared by
+all passages, the detuning ramp by those with one final Delta, and the
+ramp-down is evolved once per distinct passage.  The steps are unit
+quaternions reduced by a pairwise tree, and the MLE has a closed form.
+Measurement, reconstruction and scoring run as arrays; per-site
+counter-based random streams make campaigns reproducible and independent
+of scheduling order.
 
 The photon model is ideal: each photon is one projective sample in its
 Pauli basis.  There is no readout contrast, no background count and no
@@ -21,6 +23,7 @@ control error, so shot noise is the only noise.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -171,24 +174,42 @@ def _ramp_up(omega_peak, delta_start, seg, dt, nsteps):
     return tuple(_step_product(t, dt, seg, omega_peak, omega_peak, delta_start, delta_start))
 
 
+def _bounds(seg, dt):
+    """(b1, b2, nsteps): segments 1-3 hold the steps [0, b1), [b1, b2) and
+    [b2, nsteps), each step in the segment that holds its midpoint."""
+    nsteps = int(round(3.0 * seg / dt))
+    return (*(min(max(int(np.ceil(j * seg / dt - 0.5)), 0), nsteps) for j in (1, 2)), nsteps)
+
+
+def _detuning_ramps(delta_final, seg=SEGMENT_DURATION, dt=1.0 / SAMPLE_RATE,
+                    omega_peak=OMEGA_MAX, delta_start=-OMEGA_MAX):
+    """Pairs (2, m) of segments 1-2 onto the detunings (m,): |Omega| stays
+    omega_peak through segment 2, so passages that share a detuning share them."""
+    b1, b2, _ = _bounds(seg, dt)
+    t = (np.arange(b1, b2) + 0.5) * dt
+    q = _step_product(t, dt, seg, omega_peak, omega_peak, delta_start, delta_final[:, None])
+    return _qmul(q, np.array(_ramp_up(omega_peak, delta_start, seg, dt, b1))[:, None])
+
+
+def _ramp_downs(q, omega_final, delta_final, seg=SEGMENT_DURATION, dt=1.0 / SAMPLE_RATE,
+                omega_peak=OMEGA_MAX, delta_start=-OMEGA_MAX):
+    """Normalized pairs (2, m): segment 3 onto the final controls (m,) after q."""
+    _, b2, nsteps = _bounds(seg, dt)
+    t = (np.arange(b2, nsteps) + 0.5) * dt
+    q = _qmul(_step_product(t, dt, seg, omega_peak, omega_final[:, None],
+                            delta_start, delta_final[:, None]), q)
+    return q / np.sqrt((q.real**2 + q.imag**2).sum(axis=0))  # rounding drifts |q| ~1e-12
+
+
 def _propagators(omega_final, delta_final, seg=SEGMENT_DURATION, dt=1.0 / SAMPLE_RATE,
                  omega_peak=OMEGA_MAX, delta_start=-OMEGA_MAX):
     """Normalized Cayley-Klein pairs (a, b), shape (2, m), of the total
     unitaries at phi = 0 of passages that share segment 1 (timing, peak Rabi
-    frequency and start detuning) and end at the final controls (m,).
-
-    Each step, an exact exponential at its midpoint, is in the segment that
-    holds its midpoint.  The drive phase is applied after, since
-    U_phi = Rz(phi) U_0 Rz(-phi) turns b by exp(i phi).
-    """
-    nsteps = int(round(3.0 * seg / dt))
-    b1, b2 = (min(max(int(np.ceil(j * seg / dt - 0.5)), 0), nsteps) for j in (1, 2))
-    q = np.array(_ramp_up(omega_peak, delta_start, seg, dt, b1))[:, None]
-    for lo, hi in ((b1, b2), (b2, nsteps)):
-        t = (np.arange(lo, hi) + 0.5) * dt
-        q = _qmul(_step_product(t, dt, seg, omega_peak, omega_final[:, None],
-                                delta_start, delta_final[:, None]), q)
-    return q / np.sqrt((q.real**2 + q.imag**2).sum(axis=0))  # rounding drifts |q| ~1e-12
+    frequency and start detuning) and end at the final controls (m,).  The
+    drive phase is applied after: U_phi = Rz(phi) U_0 Rz(-phi) turns b by
+    exp(i phi)."""
+    shared = (seg, dt, omega_peak, delta_start)
+    return _ramp_downs(_detuning_ramps(delta_final, *shared), omega_final, delta_final, *shared)
 
 
 def propagator(schedule, dt=None):
@@ -232,9 +253,31 @@ class MeasurementRecord:
 
 
 def split_photons(photons):
-    """Equal thirds across the x, y, z bases, remainder assigned to z."""
+    """Equal thirds across the x, y, z bases, remainder assigned to z; below 3
+    photons, or beyond 2**63 - 1 shots per basis, raises ValueError."""
+    photons = int(photons)
+    if not 3 <= photons <= 3 * (2**63 - 1):
+        raise ValueError(f"need 3 to 3 * (2**63 - 1) photons, got {photons}")
     third = photons // 3
     return {"x": third, "y": third, "z": photons - 2 * third}
+
+
+def _stream_key(seed):
+    """Philox key of ``seed``, an int or an int pair, each in [0, 2**64 - 1]."""
+    key = tuple(int(x) for x in (seed if isinstance(seed, (tuple, list)) else (seed, 0)))
+    if not all(0 <= x < 2**64 for x in key):
+        raise ValueError(f"seed must lie in [0, 2**64 - 1], got {seed}")
+    return key
+
+
+def _draw(bloch, n, keys):
+    """Successes (m, 3) of n (3,) shots in the bases of ``BASES`` for Bloch
+    vectors (m, 3), row j on the Philox stream keyed by keys[j]."""
+    successes = np.empty(bloch.shape, dtype=np.int64)
+    for j, (key, p) in enumerate(zip(keys, np.clip((1.0 + bloch) / 2.0, 0.0, 1.0).tolist())):
+        rng = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+        successes[j] = [rng.binomial(nb, pb) for nb, pb in zip(n, p)]
+    return successes
 
 
 def simulate_measurements(state, photons, seed=0):
@@ -246,11 +289,9 @@ def simulate_measurements(state, photons, seed=0):
     Success probability per basis is (1 + <sigma_basis>)/2; the draw is a
     counter-based stream keyed by ``seed`` (an int or an int pair), so equal
     keys reproduce identical records regardless of call order.  A spinor off
-    unit norm, or a 2x2 that is not a density matrix, raises ValueError.
+    unit norm, a 2x2 that is not a density matrix, or a seed outside
+    [0, 2**64 - 1] raises ValueError, as ``split_photons`` does.
     """
-    photons = int(photons)
-    if photons < 3:
-        raise ValueError(f"need at least 3 photons, got {photons}")
     shots = split_photons(photons)
     state = np.asarray(state, dtype=complex)
     if state.shape == (2,):
@@ -259,14 +300,9 @@ def simulate_measurements(state, photons, seed=0):
         _validate_rho(state)
     else:
         raise ValueError(f"state must be a spinor or a 2x2 density matrix, got {state.shape}")
-    s = bloch_vectors_of(state)
-    key = tuple(int(x) for x in (seed if isinstance(seed, (tuple, list)) else (seed, 0)))
-    rng = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
-    successes = {}
-    for i, b in enumerate(BASES):
-        p = float(np.clip((1.0 + s[i]) / 2.0, 0.0, 1.0))
-        successes[b] = int(rng.binomial(shots[b], p))
-    return MeasurementRecord(shots=shots, successes=successes, key=key)
+    key = _stream_key(seed)
+    successes = _draw(bloch_vectors_of(state)[None], list(shots.values()), [key])[0].tolist()
+    return MeasurementRecord(shots=shots, successes=dict(zip(BASES, successes)), key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +346,8 @@ def _axis_roots(rhat, n, mu):
     return r, np.divide((rhat - r) * a / mu, dg, out=np.zeros_like(r), where=dg < 0)
 
 
-def _mle_bloch(records):
-    """Maximum-likelihood Bloch vectors of records: (r, iterations, on_sphere).
+def _mle_bloch(successes, shots):
+    """MLE Bloch vectors of successes of shots, (m, 3) each: (r, iterations, on_sphere).
 
     Off the ball, sum_b r_b(mu)^2 falls monotonically through 1.  Newton steps
     on mu stay in a bracket [lo, hi] and give way to bisection when they would
@@ -320,8 +356,7 @@ def _mle_bloch(records):
     n_b/(2 mu).  A converged site stops changing, so its result does not
     depend on the rest of the batch.
     """
-    s, n = (np.array([[getattr(rec, f)[b] for b in BASES] for rec in records], dtype=float)
-            for f in ("successes", "shots"))
+    s, n = np.broadcast_arrays(np.asarray(successes, dtype=float), np.asarray(shots, dtype=float))
     r = 2.0 * s / n - 1.0
     norm2 = (r * r).sum(axis=-1)
     on_sphere = norm2 > 1.0
@@ -382,7 +417,7 @@ def mle_tomography(record, reference=None):
                for b in BASES):
         raise ValueError("every basis needs at least one shot and integer successes in "
                          f"[0, shots], got successes {s} of shots {n}")
-    r, iterations, _ = _mle_bloch([record])
+    r, iterations, _ = _mle_bloch([[s[b] for b in BASES]], [[n[b] for b in BASES]])
     rho = _rho_of_bloch(r[0])
     return TomographyResult(
         rho=rho,
@@ -431,20 +466,24 @@ def run_campaign(params, mesh, photons_per_site=DEFAULT_PHOTONS, seed=0,
                  threads=1):
     """Simulated tomography of every mesh site.
 
-    u(k) is evaluated once over the mesh.  Each distinct pair of final
-    controls (omega_final, delta_final) is evolved once, the distinct
-    passages in fixed chunks of ``SITE_CHUNK``; every site then takes its
-    passage's state rotated by its own drive phase.  Each site is measured on
-    its own random stream keyed by (seed, row-major site index), and all
-    records go through the MLE of ``mle_tomography`` as one batch.
-    ``threads`` workers (0: one per CPU, never more than there are chunks)
-    take whole chunks; numpy releases the interpreter lock in the array work.
-    Chunks do not depend on ``threads``, so every thread count gives
-    byte-identical output.  A gapless site keeps the maximally mixed
-    placeholder and is listed in ``stats.errors``, in row-major order.
+    u(k) is evaluated once over the mesh.  Segments 1-2 of a passage depend
+    only on its final detuning, so each distinct detuning is evolved once,
+    then segment 3 once per distinct final-control pair (omega_final,
+    delta_final), both in fixed chunks of ``SITE_CHUNK``; every site takes
+    its passage's state rotated by its own drive phase.  The states are
+    validated and measured as one batch, each site on its own random stream
+    keyed by (seed, row-major site index); the MLE of ``mle_tomography`` and
+    the fidelities run as arrays.  ``threads`` workers (0: one per CPU, never
+    more than there are passage chunks) take whole chunks; numpy releases
+    the interpreter lock in the array work.  Chunks do not depend on
+    ``threads``, so every thread count gives byte-identical output.  A
+    gapless site keeps the maximally mixed placeholder and is listed in
+    ``stats.errors``, in row-major order.
     """
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
+    shots = list(split_photons(photons_per_site).values())
+    seed = _stream_key(int(seed))[0]
     n = mesh.n
     k = mesh.points().reshape(-1, 3)
     u = model.u_of_k(k, params)
@@ -457,25 +496,29 @@ def run_campaign(params, mesh, photons_per_site=DEFAULT_PHOTONS, seed=0,
     omega_final, delta_final, phi = _final_controls(u[ok])
     passages, inverse = np.unique(np.stack([omega_final, delta_final], axis=-1), axis=0,
                                   return_inverse=True)
-    cuts = range(SITE_CHUNK, len(passages), SITE_CHUNK)
-    chunks = np.split(passages[:, 0], cuts), np.split(passages[:, 1], cuts)
-    workers = min(threads or os.cpu_count() or 1, len(chunks[0]))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    detunings, ramp = np.unique(passages[:, 1], return_inverse=True)
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(_propagators, *chunks))
-    else:
-        pairs = list(map(_propagators, *chunks))
-    a, b = np.concatenate(pairs, axis=1)[:, inverse]
+    def chunks(x):
+        return np.split(x, range(SITE_CHUNK, x.shape[-1], SITE_CHUNK), axis=-1)
+
+    omegas, deltas = chunks(passages[:, 0]), chunks(passages[:, 1])
+    workers = min(threads or os.cpu_count() or 1, len(omegas))
+    if workers > 1:  # imported only when used: its threading and queue add ~0.6 MB RSS
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        ramps = np.concatenate(list(run(_detuning_ramps, chunks(detunings))), axis=1)[:, ramp]
+        a, b = np.concatenate(list(run(_ramp_downs, chunks(ramps), omegas, deltas)),
+                              axis=1)[:, inverse]
     states = np.stack([a, b * np.exp(1j * phi)], axis=-1)
-    records = [simulate_measurements(psi, photons_per_site, seed=(seed, i))
-               for i, psi in zip(ok, states)]
-    r, _, on_sphere = _mle_bloch(records)
+    _validate_spinors(states)
+    successes = _draw(bloch_vectors_of(states), shots, ((seed, i) for i in ok.tolist()))
+    r, _, on_sphere = _mle_bloch(successes, shots)
     rho = np.tile(0.5 * np.eye(2, dtype=complex), (n**3, 1, 1))
     rho[ok] = _rho_of_bloch(r)
+    ref = model.ground_state(k[ok], params)
     fids = np.full(n**3, np.nan)
-    fids[ok] = [fidelity(x, ref) for x, ref in zip(rho[ok], model.ground_state(k[ok], params))]
+    fids[ok] = np.real(np.conj(ref)[:, None, :] @ rho[ok] @ ref[:, :, None])[:, 0, 0]
 
     field = StateField(mesh, params, rho.reshape(n, n, n, 2, 2),
                        provenance=PROVENANCE_SIMULATED)

@@ -179,12 +179,13 @@ def parse_config(argv):
                 raise UsageError(f"--n must be >= 4, got {n}")
         cfg.res, cfg.photons, cfg.seed, cfg.threads = (
             int(cfg.res), int(cfg.photons), int(cfg.seed), int(cfg.threads))
+        if cmd == "campaign":  # the experiment's photon and seed ranges
+            adiabatic.split_photons(cfg.photons)
+            adiabatic._stream_key(cfg.seed)
     except (TypeError, ValueError) as err:
         raise UsageError(f"invalid value: {err}") from None
     if cmd in ("preimage", "link") and not 16 <= cfg.res <= 256:
         raise UsageError(f"--res must be in [16, 256], got {cfg.res}")
-    if cmd == "campaign" and cfg.photons < 3:
-        raise UsageError(f"--photons must be >= 3, got {cfg.photons}")
     if cfg.threads < 0:
         raise UsageError(f"--threads must be >= 0 (0: one per CPU), got {cfg.threads}")
     return cfg

@@ -482,22 +482,6 @@ def _closed_r3(c, name):
         raise NotClosed(f"{name} is not closed")
 
 
-def _spherical_quad_area(c1, c2, c3, c4):
-    """Signed solid angle of the geodesic quadrilateral c1 c2 c3 c4."""
-
-    def tri(a, b, c):
-        num = np.einsum("...i,...i->...", a, np.cross(b, c))
-        den = (
-            1.0
-            + np.einsum("...i,...i->...", a, b)
-            + np.einsum("...i,...i->...", b, c)
-            + np.einsum("...i,...i->...", c, a)
-        )
-        return 2.0 * np.arctan2(num, den)
-
-    return tri(c1, c2, c3) + tri(c1, c3, c4)
-
-
 class GaussSum(float):
     """A raw Gauss double sum that also carries ``separation``, the smallest
     vertex distance between the two curves."""

@@ -440,41 +440,97 @@ def test_campaign_caps_workers_at_chunks_and_rejects_negative_threads(monkeypatc
         run_campaign(P2, MeshSpec(4), photons_per_site=300, seed=0, threads=-1)
 
 
-def test_campaign_matches_per_site_route_and_counts_boundary_share():
-    # h=1: three gapless sites; the boundary share is over the other 61
-    params, mesh = HopfParams(1.0), MeshSpec(4)
-    result = run_campaign(params, mesh, photons_per_site=300, seed=2)
+@pytest.mark.parametrize("h, n, photons, seed, threads, gapped", [
+    # three gapless sites; the boundary share is over the other 61
+    pytest.param(1.0, 4, 300, 2, 1, 61, id="gapless-sites"),
+    # 52 passages over 31 detunings, evolved on two workers
+    pytest.param(-2.0, 5, DEFAULT_PHOTONS, 3, 2, 125, id="shared-detunings"),
+])
+def test_campaign_matches_per_site_route_and_counts_boundary_share(h, n, photons, seed,
+                                                                     threads, gapped):
+    params, mesh = HopfParams(h), MeshSpec(n)
+    result = run_campaign(params, mesh, photons_per_site=photons, seed=seed, threads=threads)
     on_sphere = []
-    for index, site in enumerate(np.ndindex(4, 4, 4)):
+    for index, site in enumerate(np.ndindex(n, n, n)):
         if not np.isfinite(result.stats.per_site[site]):
             continue
         k = mesh.site_k(site)
         psi = evolve(build_schedule(k, params), [1, 0])
-        rec = simulate_measurements(psi, 300, seed=(2, index))
+        rec = simulate_measurements(psi, photons, seed=(seed, index))
         res = mle_tomography(rec, reference=ground_state(k, params))
         np.testing.assert_allclose(result.field.site_state(site), res.rho, rtol=0, atol=0)
         assert result.stats.per_site[site] == res.fidelity
         on_sphere.append(res.iterations > 0)
-    assert len(on_sphere) == 61 and 0 < sum(on_sphere) < 61
-    assert result.stats.boundary_share == sum(on_sphere) / 61
+    assert len(on_sphere) == gapped and 0 < sum(on_sphere) < gapped
+    assert result.stats.boundary_share == sum(on_sphere) / gapped
     assert result.stats.to_dict()["boundary_share"] == result.stats.boundary_share
 
 
 def test_campaign_evolves_each_distinct_passage_once(monkeypatch):
+    # segments 1-2 once per distinct final detuning, segment 3 once per
+    # distinct (omega_final, delta_final) pair
     from hopfsim import adiabatic
 
-    evolved = []
-    kernel = adiabatic._propagators
+    ramps, downs = [], []
+    detuning_ramps, ramp_downs = adiabatic._detuning_ramps, adiabatic._ramp_downs
 
-    def counting(omega_final, delta_final, *args):
-        evolved.append(len(omega_final))
-        return kernel(omega_final, delta_final, *args)
+    def counting_ramps(delta_final, *args):
+        ramps.append(len(delta_final))
+        return detuning_ramps(delta_final, *args)
 
-    monkeypatch.setattr(adiabatic, "_propagators", counting)
+    def counting_downs(q, omega_final, delta_final, *args):
+        assert q.shape[1] == len(omega_final) == len(delta_final)
+        downs.append(len(omega_final))
+        return ramp_downs(q, omega_final, delta_final, *args)
+
+    monkeypatch.setattr(adiabatic, "_detuning_ramps", counting_ramps)
+    monkeypatch.setattr(adiabatic, "_ramp_downs", counting_downs)
     result = run_campaign(P2, MeshSpec(6), photons_per_site=300, seed=0)
-    assert sum(evolved) == 65 and max(evolved) <= SITE_CHUNK
+    assert sum(ramps) == 39 and max(ramps) <= SITE_CHUNK
+    assert sum(downs) == 65 and max(downs) <= SITE_CHUNK
     controls = {(s.omega_final, s.delta_final)
                 for s in (build_schedule(MeshSpec(6).site_k(site), P2)
                           for site in np.ndindex(6, 6, 6))}
-    assert len(controls) == 65
+    assert len(controls) == 65 and len({de for _, de in controls}) == 39
     assert np.isfinite(result.stats.per_site).all()
+
+
+def test_campaign_draws_the_records_of_simulate_measurements(monkeypatch):
+    # the batched draw gives every site the successes of its own record
+    from hopfsim import adiabatic
+
+    drawn = []
+    draw = adiabatic._draw
+
+    def recording(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(adiabatic, "_draw", recording)
+    mesh, seed = MeshSpec(6), 4
+    run_campaign(P2, mesh, photons_per_site=DEFAULT_PHOTONS, seed=seed)
+    assert len(drawn) == 1 and drawn[0].shape == (216, 3)
+    for index, site in enumerate(np.ndindex(6, 6, 6)):
+        psi = evolve(build_schedule(mesh.site_k(site), P2), [1, 0])
+        rec = simulate_measurements(psi, DEFAULT_PHOTONS, seed=(seed, index))
+        assert drawn[0][index].tolist() == [rec.successes[b] for b in "xyz"]
+
+
+@pytest.mark.parametrize("photons, seed, match", [
+    (2, 0, "photons"),
+    (3 * (2**63 - 1) + 1, 0, "photons"),  # more shots per basis than int64 holds
+    (300, -1, "seed"),
+    (300, 2**64, "seed"),
+])
+def test_photons_and_seeds_out_of_range_raise_value_error(photons, seed, match):
+    with pytest.raises(ValueError, match=match):
+        simulate_measurements([1, 0], photons, seed=seed)
+    with pytest.raises(ValueError, match=match):
+        run_campaign(P2, MeshSpec(4), photons_per_site=photons, seed=seed)
+
+
+def test_measurement_at_the_ends_of_the_photon_and_seed_ranges():
+    rec = simulate_measurements([1, 0], 3 * (2**63 - 1), seed=(2**64 - 1, 2**64 - 1))
+    assert rec.successes["z"] == rec.shots["z"] == 2**63 - 1
+    with pytest.raises(ValueError, match="seed"):
+        simulate_measurements([1, 0], 300, seed=(0, 2**64))

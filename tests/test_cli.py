@@ -60,6 +60,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run_cli(["index", "--h", "nan"], tmp_path) == 2
     for h in ("1", "3", "-1"):  # phase transitions have no reference index
         assert run_cli(["scaling", "--h", h, "--n", "6"], tmp_path) == 2
+    for flags in (["--seed=-1"], ["--seed", str(2**64)], ["--photons", str(10**20)]):
+        assert run_cli(["campaign", "--h", "2", "--n", "4", *flags], tmp_path) == 2
     conf = tmp_path / "conf.json"
     index = ["index", "--h", "2", "--config", str(conf)]
     neighborhood = ["neighborhood", "--config", str(conf), "--spin", "0,0,1", "--eps", "0.3"]
@@ -69,7 +71,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         conf.write_text(text)
         assert run_cli(argv, tmp_path) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 14 and all(line.startswith("usage error: ") for line in err)
+    assert len(err) == 17 and all(line.startswith("usage error: ") for line in err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json"]
 
 

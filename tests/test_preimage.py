@@ -25,7 +25,6 @@ from hopfsim.preimage import (
     _dedupe,
     _image_translates,
     _march_segments,
-    _spherical_quad_area,
     embed_r3,
     epsilon_neighborhood,
     gauss_linking_number,
@@ -559,6 +558,22 @@ def test_image_translates_of_a_disjoint_box():
     lo_b, hi_b = np.array([0.0, 0.0, 2.0]), np.array([1.0, 1.0, 3.0])
     assert list(_image_translates(lo_a, hi_a, lo_b, hi_b)) == []
     assert _brute_image_translates(lo_a, hi_a, lo_b, hi_b) == []
+
+
+def _spherical_quad_area(c1, c2, c3, c4):
+    """Signed solid angle of the geodesic quadrilateral c1 c2 c3 c4."""
+
+    def tri(a, b, c):
+        num = np.einsum("...i,...i->...", a, np.cross(b, c))
+        den = (
+            1.0
+            + np.einsum("...i,...i->...", a, b)
+            + np.einsum("...i,...i->...", b, c)
+            + np.einsum("...i,...i->...", c, a)
+        )
+        return 2.0 * np.arctan2(num, den)
+
+    return tri(c1, c2, c3) + tri(c1, c3, c4)
 
 
 def _four_chord_gauss_sum(a, b):
