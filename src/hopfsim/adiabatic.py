@@ -10,7 +10,10 @@ is a frame rotation applied after the evolution, so a passage depends on
 its site only through its final (|Omega|, Delta); the ramp-up is shared by
 all passages, the detuning ramp by those with one final Delta, and the
 ramp-down is evolved once per distinct passage.  The steps are unit
-quaternions reduced by a pairwise tree, and the MLE has a closed form.
+quaternions reduced by a pairwise tree, computed in a workspace of flat
+buffers that each campaign worker keeps for the whole campaign (at most
+``SITE_CHUNK`` passages x the steps of one segment), so evolving a chunk
+allocates no large array.  The MLE has a closed form.
 Measurement, reconstruction and scoring run as arrays; per-site
 counter-based random streams make campaigns reproducible and independent
 of scheduling order.
@@ -22,10 +25,11 @@ control error, so shot noise is the only noise.
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -44,18 +48,64 @@ SEGMENT_DURATION = 500e-9  # s per linear ramp
 SAMPLE_RATE = 8e9  # Hz, waveform sampling
 DEFAULT_PHOTONS = 93_000
 
-# Passages evolved together.  A segment of 4000 steps then takes about 1 MB
-# per quaternion array; larger chunks raise the peak memory and run no faster.
+# Passages evolved together.  A campaign worker's workspace (``_Workspace``)
+# holds SITE_CHUNK x steps-per-segment steps, about 2 MB at the 4000 steps of
+# a 500 ns segment; larger chunks raise the peak memory and run no faster.
 SITE_CHUNK = 8
 
 BASES = ("x", "y", "z")
 
 
-def _waveform(t, seg, omega_peak, omega_final, delta_start, delta_final):
-    """(|Omega|, Delta) of the three linear segments at times t (broadcasts)."""
-    x = np.asarray(t, dtype=float) / seg if seg else np.full(np.shape(t), 3.0)
-    om = omega_peak * np.clip(x, 0.0, 1.0) + (omega_final - omega_peak) * np.clip(x - 2.0, 0.0, 1.0)
-    de = delta_start + (delta_final - delta_start) * np.clip(x - 1.0, 0.0, 1.0)
+class _Workspace:
+    """Flat buffers that ``_waveform`` and ``_step_product`` fill through
+    ``out=``, kept across calls so that a campaign worker evolves all its
+    chunks in the same memory instead of faulting fresh arrays in per chunk.
+    For m passages of n steps they hold:
+
+    - ``ramps``: three vectors of n values, t / seg and the clipped ramps of
+      the waveform;
+    - ``steps``: the m n step quaternions, then the even levels of the tree;
+    - ``planes``: four float planes of m n values (|Omega|, Delta, |v| and
+      sin(theta)), then the odd tree levels and, at its end, the two product
+      temporaries.
+
+    Each buffer grows to the largest call it serves, 8 m n + 3 n floats in
+    all (m n = SITE_CHUNK x steps per segment in a campaign), and lives as
+    long as its owner: the worker of one campaign, or one ``propagator``
+    call."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name, size):
+        """The first ``size`` floats of buffer ``name``, grown if it is shorter."""
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size]
+
+    def planes(self, shape):
+        """The four float planes, as views of the given shape."""
+        return [p.reshape(shape) for p in self.take("planes", 4 * math.prod(shape)).reshape(4, -1)]
+
+
+def _waveform(t, seg, omega_peak, omega_final, delta_start, delta_final, work):
+    """(|Omega|, Delta) of the three linear segments at times t, broadcast
+    with the final controls: the first two planes of ``work``.  The clipped
+    ramps depend on t alone, so they are formed on its shape."""
+    t = np.asarray(t, dtype=float)
+    om, de, _, _ = work.planes(np.broadcast_shapes(t.shape, np.shape(omega_final),
+                                                   np.shape(delta_final)))
+    x, up, ramp = (r.reshape(t.shape) for r in work.take("ramps", 3 * t.size).reshape(3, -1))
+    if seg:
+        np.divide(t, seg, out=x)
+    else:
+        x.fill(3.0)
+    np.multiply(omega_peak, np.clip(x, 0.0, 1.0, out=up), out=up)
+    np.clip(np.subtract(x, 2.0, out=ramp), 0.0, 1.0, out=ramp)
+    np.add(up, np.multiply(omega_final - omega_peak, ramp, out=om), out=om)
+    np.clip(np.subtract(x, 1.0, out=ramp), 0.0, 1.0, out=ramp)
+    np.add(delta_start, np.multiply(delta_final - delta_start, ramp, out=de), out=de)
     return om, de
 
 
@@ -87,13 +137,12 @@ class RampSchedule:
     def controls(self, t):
         """(|Omega|, phi, Delta) at times t (piecewise-linear interpolation)."""
         om, de = _waveform(t, self.segment_duration, self.omega_peak, self.omega_final,
-                           self.delta_start, self.delta_final)
-        return om, np.full_like(om, self.phi), de
+                           self.delta_start, self.delta_final, _Workspace())
+        return om[()], np.full_like(om, self.phi), de[()]  # a scalar t gives scalars
 
     def samples(self):
         """Control tuples on the uniform sample grid, (t, |Omega|, phi, Delta)."""
-        nsteps = int(round(self.duration / self.sample_dt))
-        t = np.arange(nsteps + 1) * self.sample_dt
+        t = np.arange(_bounds(self.segment_duration, self.sample_dt)[2] + 1) * self.sample_dt
         return (t, *self.controls(t))
 
 
@@ -135,35 +184,60 @@ def _final_controls(u):
 # held as its Cayley-Klein pair (a, b) = (q0 - i q3, q2 - i q1), two complex
 # numbers (4 reals), so that U = [[a, -b*], [b, a*]]
 
-def _qmul(x, y):
-    """Quaternion product x y (the unitary of x after y); pairs on axis 0."""
+def _qmul(x, y, out=None, tmp=None):
+    """Quaternion product x y (the unitary of x after y); pairs on axis 0.
+    Written into ``out``, with the two halves of ``tmp`` as scratch for
+    conj(.) and its product: a complex product written over its own operand
+    can round differently.  New arrays when they are not given."""
     (a, b), (c, d) = x, y
-    return np.stack([a * c - b.conj() * d, b * c + a.conj() * d])
+    if out is None:
+        out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    conj, prod = np.empty_like(out) if tmp is None else tmp
+    np.subtract(np.multiply(a, c, out=out[0]),
+                np.multiply(np.conjugate(b, out=conj), d, out=prod), out=out[0])
+    np.add(np.multiply(b, c, out=out[1]),
+           np.multiply(np.conjugate(a, out=conj), d, out=prod), out=out[1])
+    return out
 
 
-def _step_product(t, dt, *waveform):
-    """Time-ordered product (pairwise tree) of the exact steps
-    exp(-i dt (om sx + de sz)) at the times t (last axis, latest last), with
-    (om, de) = _waveform(t, *waveform)."""
-    om, de = _waveform(t, *waveform)
-    vnorm = np.hypot(om, de)
-    q = np.zeros((2,) + vnorm.shape, dtype=complex)  # filled in place: the peak memory
-    sinc = vnorm * dt  # theta, then -sin(theta)/|v|
+def _step_product(t, dt, seg, omega_peak, omega_final, delta_start, delta_final, work):
+    """Time-ordered product of the exact steps exp(-i dt (om sx + de sz)) at
+    the times t (last axis, latest last), with (om, de) = _waveform(t, ...).
+
+    Every array lives in the workspace ``work``: the steps, then a pairwise
+    tree whose levels alternate between the steps buffer and the planes (an
+    odd first step waits for the next level).  The pairs (2, ...) are copied
+    out, so nothing returned aliases ``work``."""
+    om, de = _waveform(t, seg, omega_peak, omega_final, delta_start, delta_final, work)
+    batch = om.shape[:-1]
+    if om.shape[-1] == 0:  # no steps: the identity
+        identity = np.zeros((2,) + batch, dtype=complex)
+        identity[0] = 1.0
+        return identity
+    _, _, vnorm, sinc = work.planes(om.shape)
+    np.hypot(om, de, out=vnorm)
+    steps = work.take("steps", 4 * om.size).view(complex)
+    q = steps.reshape((2,) + om.shape)
+    np.multiply(vnorm, dt, out=sinc)  # theta, then -sin(theta)/|v|
     np.cos(sinc, out=q[0].real)
     np.sin(sinc, out=sinc)
     np.divide(sinc, vnorm, out=sinc, where=vnorm > 0)
     np.negative(sinc, out=sinc)
     np.multiply(de, sinc, out=q[0].imag)
     np.multiply(om, sinc, out=q[1].imag)
-    del om, de, vnorm, sinc
-    if q.shape[-1] == 0:  # no steps: the identity
-        q = np.zeros(q.shape[:-1] + (1,), dtype=complex)
-        q[0] = 1.0
+    q[1].real = 0.0
+    # the planes are free from here on: odd levels from the start, the two
+    # product temporaries at the end (they fit: 2 ceil(n/2) + 2 floor(n/2) = 2n)
+    planes = work.take("planes", 4 * om.size).view(complex)
+    buffers, m = (planes, steps), math.prod(batch)
     while q.shape[-1] > 1:
-        odd = q.shape[-1] % 2  # an odd first step waits for the next level
-        pairs = _qmul(q[..., odd + 1::2], q[..., odd::2])
-        q = np.concatenate([q[..., :odd], pairs], axis=-1) if odd else pairs
-    return q[..., 0]
+        odd, pairs = q.shape[-1] % 2, q.shape[-1] // 2
+        nxt = buffers[0][:2 * m * (odd + pairs)].reshape((2,) + batch + (odd + pairs,))
+        nxt[..., :odd] = q[..., :odd]
+        _qmul(q[..., odd + 1::2], q[..., odd::2], nxt[..., odd:],
+              planes[planes.size - 2 * m * pairs:].reshape((2,) + batch + (pairs,)))
+        q, buffers = nxt, buffers[::-1]
+    return q[..., 0].copy()
 
 
 @lru_cache(maxsize=8)
@@ -171,45 +245,75 @@ def _ramp_up(omega_peak, delta_start, seg, dt, nsteps):
     """Product of the first ``nsteps`` steps, all in segment 1, which depends
     on no final control: one pair shared by every passage of a campaign."""
     t = (np.arange(nsteps) + 0.5) * dt
-    return tuple(_step_product(t, dt, seg, omega_peak, omega_peak, delta_start, delta_start))
+    return tuple(_step_product(t, dt, seg, omega_peak, omega_peak, delta_start, delta_start,
+                               _Workspace()))
 
 
 def _bounds(seg, dt):
     """(b1, b2, nsteps): segments 1-3 hold the steps [0, b1), [b1, b2) and
-    [b2, nsteps), each step in the segment that holds its midpoint."""
+    [b2, nsteps), each step in the segment that holds its midpoint.  Raises
+    ValueError unless dt is finite and > 0 and seg finite and >= 0."""
+    if not 0 < dt < np.inf:
+        raise ValueError(f"step size dt must be finite and > 0, got {dt}")
+    if not 0 <= seg < np.inf:
+        raise ValueError(f"segment duration must be finite and >= 0, got {seg}")
     nsteps = int(round(3.0 * seg / dt))
     return (*(min(max(int(np.ceil(j * seg / dt - 0.5)), 0), nsteps) for j in (1, 2)), nsteps)
 
 
-def _detuning_ramps(delta_final, seg=SEGMENT_DURATION, dt=1.0 / SAMPLE_RATE,
-                    omega_peak=OMEGA_MAX, delta_start=-OMEGA_MAX):
+def _detuning_ramps(delta_final, seg, dt, omega_peak, delta_start, work):
     """Pairs (2, m) of segments 1-2 onto the detunings (m,): |Omega| stays
     omega_peak through segment 2, so passages that share a detuning share them."""
     b1, b2, _ = _bounds(seg, dt)
     t = (np.arange(b1, b2) + 0.5) * dt
-    q = _step_product(t, dt, seg, omega_peak, omega_peak, delta_start, delta_final[:, None])
+    q = _step_product(t, dt, seg, omega_peak, omega_peak, delta_start, delta_final[:, None], work)
     return _qmul(q, np.array(_ramp_up(omega_peak, delta_start, seg, dt, b1))[:, None])
 
 
-def _ramp_downs(q, omega_final, delta_final, seg=SEGMENT_DURATION, dt=1.0 / SAMPLE_RATE,
-                omega_peak=OMEGA_MAX, delta_start=-OMEGA_MAX):
+def _ramp_downs(q, omega_final, delta_final, seg, dt, omega_peak, delta_start, work):
     """Normalized pairs (2, m): segment 3 onto the final controls (m,) after q."""
     _, b2, nsteps = _bounds(seg, dt)
     t = (np.arange(b2, nsteps) + 0.5) * dt
     q = _qmul(_step_product(t, dt, seg, omega_peak, omega_final[:, None],
-                            delta_start, delta_final[:, None]), q)
+                            delta_start, delta_final[:, None], work), q)
     return q / np.sqrt((q.real**2 + q.imag**2).sum(axis=0))  # rounding drifts |q| ~1e-12
 
 
 def _propagators(omega_final, delta_final, seg=SEGMENT_DURATION, dt=1.0 / SAMPLE_RATE,
-                 omega_peak=OMEGA_MAX, delta_start=-OMEGA_MAX):
+                 omega_peak=OMEGA_MAX, delta_start=-OMEGA_MAX, workers=1):
     """Normalized Cayley-Klein pairs (a, b), shape (2, m), of the total
     unitaries at phi = 0 of passages that share segment 1 (timing, peak Rabi
     frequency and start detuning) and end at the final controls (m,).  The
     drive phase is applied after: U_phi = Rz(phi) U_0 Rz(-phi) turns b by
-    exp(i phi)."""
+    exp(i phi).
+
+    Segments 1-2 are evolved once per distinct final detuning, then segment
+    3 once per passage, both in fixed chunks of ``SITE_CHUNK``.  ``workers``
+    threads take whole chunks, and a free list hands each chunk one of
+    ``workers`` workspaces, so the call reuses that many for all its chunks.
+    Chunks do not depend on ``workers``, so neither do the bytes."""
     shared = (seg, dt, omega_peak, delta_start)
-    return _ramp_downs(_detuning_ramps(delta_final, *shared), omega_final, delta_final, *shared)
+    detunings, ramp = np.unique(delta_final, return_inverse=True)
+    free = [_Workspace() for _ in range(workers)]
+
+    def chunks(x):
+        return np.split(x, range(SITE_CHUNK, x.shape[-1], SITE_CHUNK), axis=-1)
+
+    def on_workspace(stage, *args):  # the pool runs at most ``workers`` at once
+        work = free.pop()
+        try:
+            return stage(*args, *shared, work)
+        finally:
+            free.append(work)
+
+    if workers > 1:  # imported only when used: its threading and queue add ~0.6 MB RSS
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        ramps = np.concatenate(list(run(partial(on_workspace, _detuning_ramps),
+                                        chunks(detunings))), axis=1)[:, ramp]
+        return np.concatenate(list(run(partial(on_workspace, _ramp_downs), chunks(ramps),
+                                       chunks(omega_final), chunks(delta_final))), axis=1)
 
 
 def propagator(schedule, dt=None):
@@ -475,7 +579,10 @@ def run_campaign(params, mesh, photons_per_site=DEFAULT_PHOTONS, seed=0,
     keyed by (seed, row-major site index); the MLE of ``mle_tomography`` and
     the fidelities run as arrays.  ``threads`` workers (0: one per CPU, never
     more than there are passage chunks) take whole chunks; numpy releases
-    the interpreter lock in the array work.  Chunks do not depend on
+    the interpreter lock in the array work.  Each worker evolves all its
+    chunks of both stages in one workspace of ``SITE_CHUNK`` x steps per
+    segment (about 2 MB), which lives for the campaign and is dropped when
+    it returns.  Chunks do not depend on
     ``threads``, so every thread count gives byte-identical output.  A
     gapless site keeps the maximally mixed placeholder and is listed in
     ``stats.errors``, in row-major order.
@@ -496,20 +603,8 @@ def run_campaign(params, mesh, photons_per_site=DEFAULT_PHOTONS, seed=0,
     omega_final, delta_final, phi = _final_controls(u[ok])
     passages, inverse = np.unique(np.stack([omega_final, delta_final], axis=-1), axis=0,
                                   return_inverse=True)
-    detunings, ramp = np.unique(passages[:, 1], return_inverse=True)
-
-    def chunks(x):
-        return np.split(x, range(SITE_CHUNK, x.shape[-1], SITE_CHUNK), axis=-1)
-
-    omegas, deltas = chunks(passages[:, 0]), chunks(passages[:, 1])
-    workers = min(threads or os.cpu_count() or 1, len(omegas))
-    if workers > 1:  # imported only when used: its threading and queue add ~0.6 MB RSS
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
-        ramps = np.concatenate(list(run(_detuning_ramps, chunks(detunings))), axis=1)[:, ramp]
-        a, b = np.concatenate(list(run(_ramp_downs, chunks(ramps), omegas, deltas)),
-                              axis=1)[:, inverse]
+    workers = min(threads or os.cpu_count() or 1, -(-len(passages) // SITE_CHUNK))
+    a, b = _propagators(passages[:, 0], passages[:, 1], workers=workers)[:, inverse]
     states = np.stack([a, b * np.exp(1j * phi)], axis=-1)
     _validate_spinors(states)
     successes = _draw(bloch_vectors_of(states), shots, ((seed, i) for i in ok.tolist()))

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -9,10 +11,13 @@ from hypothesis import strategies as st
 from hopfsim.adiabatic import (
     DEFAULT_PHOTONS,
     OMEGA_MAX,
+    SEGMENT_DURATION,
     SITE_CHUNK,
     MeasurementRecord,
     RampSchedule,
     _propagators,
+    _step_product,
+    _Workspace,
     build_schedule,
     evolve,
     fidelity,
@@ -34,6 +39,17 @@ def pure_state(bloch):
     th = np.arccos(bloch[2])
     ph = np.arctan2(bloch[1], bloch[0])
     return np.array([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)])
+
+
+def evolved_from_zero(schedules):
+    """evolve(s, [1, 0]) of schedules that share segment 1, each distinct
+    passage evolved once in one ``_propagators`` batch."""
+    s = schedules[0]
+    om, de, phi = np.array([[x.omega_final, x.delta_final, x.phi] for x in schedules]).T
+    passages, inverse = np.unique(np.stack([om, de], axis=-1), axis=0, return_inverse=True)
+    a, b = _propagators(passages[:, 0], passages[:, 1], s.segment_duration, s.sample_dt,
+                        s.omega_peak, s.delta_start)[:, inverse]
+    return np.stack([a, b * np.exp(1j * phi)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +152,20 @@ def test_propagator_unitary_for_random_schedules():
 def test_adiabatic_limit_slower_is_better():
     # 4x segment durations must strictly raise the worst-site fidelity
     mesh = MeshSpec(10)
-    worst_fast, worst_slow = 1.0, 1.0
-    for jx in range(10):
-        for jy in range(10):
-            for jz in range(10):
-                k = mesh.site_k((jx, jy, jz))
-                ref = ground_state(k, P2)
-                fast = fidelity(evolve(build_schedule(k, P2), [1, 0]), ref)
-                slow = fidelity(
-                    evolve(build_schedule(k, P2, segment_duration=2e-6), [1, 0]), ref
-                )
-                worst_fast = min(worst_fast, fast)
-                worst_slow = min(worst_slow, slow)
+    k = np.array([mesh.site_k(site) for site in np.ndindex(10, 10, 10)])
+    ref = ground_state(k, P2)
+    worst_fast, worst_slow = (
+        min(fidelity(psi, r) for psi, r in zip(
+            evolved_from_zero([build_schedule(kk, P2, segment_duration=seg) for kk in k]), ref))
+        for seg in (SEGMENT_DURATION, 2e-6))
     assert worst_slow > worst_fast
+
+
+def test_batched_evolution_is_evolve():
+    mesh = MeshSpec(4)
+    schedules = [build_schedule(mesh.site_k(site), P2) for site in np.ndindex(4, 4, 4)]
+    for s, psi in zip(schedules, evolved_from_zero(schedules)):
+        assert np.array_equal(psi, evolve(s, [1, 0]))
 
 
 @pytest.mark.parametrize("h", [0.2, 2.0, -2.0])
@@ -194,6 +211,120 @@ def test_propagator_is_the_step_product_and_phi_a_frame_rotation():
         rz = np.diag([np.exp(-0.5j * s.phi), np.exp(0.5j * s.phi)])
         u0 = propagator(dataclasses.replace(s, phi=0.0))
         assert np.abs(u - rz @ u0 @ rz.conj().T).max() < 1e-12
+
+
+def reference_qmul(x, y):
+    (a, b), (c, d) = x, y
+    return np.stack([a * c - b.conj() * d, b * c + a.conj() * d])
+
+
+def reference_step_product(t, dt, seg, omega_peak, omega_final, delta_start, delta_final):
+    """The allocating kernel the workspace replaced: fresh arrays for the
+    waveform and the steps, and one np.stack (plus a concatenate on odd
+    levels) per tree level."""
+    x = t / seg
+    om = omega_peak * np.clip(x, 0.0, 1.0) + (omega_final - omega_peak) * np.clip(x - 2.0, 0.0, 1.0)
+    de = delta_start + (delta_final - delta_start) * np.clip(x - 1.0, 0.0, 1.0)
+    vnorm = np.hypot(om, de)
+    q = np.zeros((2,) + vnorm.shape, dtype=complex)
+    sinc = vnorm * dt
+    np.cos(sinc, out=q[0].real)
+    np.sin(sinc, out=sinc)
+    np.divide(sinc, vnorm, out=sinc, where=vnorm > 0)
+    np.negative(sinc, out=sinc)
+    np.multiply(de, sinc, out=q[0].imag)
+    np.multiply(om, sinc, out=q[1].imag)
+    if q.shape[-1] == 0:
+        q = np.zeros(q.shape[:-1] + (1,), dtype=complex)
+        q[0] = 1.0
+    while q.shape[-1] > 1:
+        odd = q.shape[-1] % 2
+        pairs = reference_qmul(q[..., odd + 1::2], q[..., odd::2])
+        q = np.concatenate([q[..., :odd], pairs], axis=-1) if odd else pairs
+    return q[..., 0]
+
+
+def kernel_cases():
+    """(t, dt, waveform) over step counts and batch sizes: a detuning ramp
+    (|Omega| at its peak throughout) and a ramp-down per case."""
+    rng = np.random.default_rng(8)
+    dt = 1.0 / 8e9
+    for nsteps in (0, 1, 2, 3, 5, 4000, 4001):
+        t = (np.arange(nsteps) + 0.5) * dt
+        seg = max(nsteps, 1) * dt / 3.0
+        for m in (1, 3, 8):
+            omega_final = rng.uniform(0, OMEGA_MAX, (m, 1))
+            delta_final = rng.uniform(-OMEGA_MAX, OMEGA_MAX, (m, 1))
+            yield t, dt, (seg, OMEGA_MAX, OMEGA_MAX, -OMEGA_MAX, delta_final)
+            yield t, dt, (seg, OMEGA_MAX, omega_final, -OMEGA_MAX, delta_final)
+
+
+def test_step_product_is_the_allocating_tree_bit_for_bit():
+    cases = list(kernel_cases())
+    for t, dt, waveform in cases:
+        ref = reference_step_product(t, dt, *waveform)
+        got = _step_product(t, dt, *waveform, _Workspace())
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=0)
+    # one workspace reused across calls whose sizes fall, then rise again;
+    # results kept to the end, so one that aliased the workspace would change
+    work, kept = _Workspace(), []
+    for t, dt, waveform in cases[::-1][::3] + cases[::5]:
+        kept.append((_step_product(t, dt, *waveform, work), reference_step_product(t, dt, *waveform)))
+    for got, ref in kept:
+        np.testing.assert_allclose(got, ref, rtol=0, atol=0)
+
+
+def test_concurrent_campaigns_match_serial_ones():
+    # two campaigns of two workers each at once, more threads than cores;
+    # every worker must keep a workspace of its own
+    args = [(HopfParams(2.0), 6, 3), (HopfParams(-0.4), 5, 8)]
+    serial = [run_campaign(p, MeshSpec(n), photons_per_site=2000, seed=seed, threads=2)
+              for p, n, seed in args]
+    results = [None, None]
+
+    def run(i):
+        p, n, seed = args[i]
+        results[i] = run_campaign(p, MeshSpec(n), photons_per_site=2000, seed=seed, threads=2)
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to shake out a shared workspace
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for got, want in zip(results, serial):
+        assert got.field.data.tobytes() == want.field.data.tobytes()
+        assert got.stats.per_site.tobytes() == want.stats.per_site.tobytes()
+
+
+@pytest.mark.parametrize("segment_duration, dt, match", [
+    (SEGMENT_DURATION, 0.0, "dt"),  # was ZeroDivisionError
+    (SEGMENT_DURATION, -1e-10, "dt"),  # was the identity
+    (SEGMENT_DURATION, np.nan, "dt"),  # was a bare ValueError from int()
+    (SEGMENT_DURATION, -np.inf, "dt"),  # was the identity
+    (SEGMENT_DURATION, np.inf, "dt"),
+    (-1e-9, None, "segment duration"),  # was the identity
+    (np.nan, None, "segment duration"),
+    (np.inf, None, "segment duration"),  # was OverflowError
+])
+def test_bad_step_sizes_raise_value_error(segment_duration, dt, match):
+    s = build_schedule(K_TYPICAL, P2, segment_duration=segment_duration)
+    with pytest.raises(ValueError, match=match):
+        propagator(s, dt)
+    with pytest.raises(ValueError, match=match):
+        evolve(s, [1, 0], dt)
+    if dt is None:
+        with pytest.raises(ValueError, match=match):
+            s.samples()
+    with pytest.raises(ValueError, match=match):
+        _propagators(np.array([s.omega_final]), np.array([s.delta_final]), segment_duration,
+                     s.sample_dt if dt is None else dt)
 
 
 # ---------------------------------------------------------------------------
