@@ -1,7 +1,7 @@
 """hopfsim: Hopf-insulator band topology and a simulated tomography experiment."""
 
 from .model import HopfParams, bloch_ground, ground_state, hopf_f, map_g, u_of_k
-from .bzgrid import MeshSpec, StateField, coverage_fraction, sample_state_field, slice_field
+from .bzgrid import MeshSpec, StateField, coverage_fraction, sample_state_field
 from .invariants import berry_connection, berry_curvature, chern_number, hopf_index, scaling_study
 from .preimage import (
     Polyline,

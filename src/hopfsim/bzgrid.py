@@ -19,8 +19,6 @@ from .errors import EmptyInput, GaplessPoint
 PROVENANCE_ANALYTIC = "analytic"
 PROVENANCE_SIMULATED = "simulated-experiment"
 
-AXES = {"x": 0, "y": 1, "z": 2}  # field axis of each slice-normal name
-
 # bound on the unit norm of a spinor and on the physicality of a density matrix
 STATE_TOL = 1e-9
 
@@ -179,41 +177,6 @@ def sample_state_field(params, mesh):
             site=site,
         )
     return StateField(mesh, params, model.ground_state(k, params))
-
-
-@dataclass
-class SliceField:
-    """One n x n layer of a StateField, normal to ``axis`` at ``layer``.
-
-    In-plane iteration is row-major in the two remaining axes, kept in their
-    natural (x, y, z) order.  Conversions touch only the layer's own sites.
-    """
-
-    parent: StateField
-    axis: str
-    layer: int
-
-    def __post_init__(self):
-        if self.axis not in AXES:
-            raise ValueError(f"axis must be one of x, y, z, got {self.axis!r}")
-        if not 0 <= self.layer < self.parent.n:
-            raise IndexError(
-                f"layer {self.layer} out of range for n={self.parent.n}"
-            )
-
-    def _states(self):
-        return np.take(self.parent.data, self.layer, axis=AXES[self.axis])
-
-    def pure_states(self):
-        return pure_spinors(self._states())
-
-    def bloch_vectors(self):
-        return bloch_vectors_of(self._states())
-
-
-def slice_field(f, axis, layer):
-    """View of the n x n sub-grid normal to ``axis`` at ``layer``."""
-    return SliceField(f, axis, layer)
 
 
 def coverage_fraction(vectors, bins):

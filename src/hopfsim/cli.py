@@ -152,10 +152,6 @@ def parse_config(argv):
     cfg = RunConfig(**{k: v for k, v in given.items() if k in names})
     cmd = cfg.subcommand
 
-    for s in cfg.spins:
-        norm = np.linalg.norm(s)
-        if abs(norm - 1.0) > 1e-6:
-            raise UsageError(f"--spin {s} is not a unit vector (|s|={norm:.4f})")
     if cmd in ("preimage", "neighborhood", "link") and not cfg.spins:
         raise UsageError(f"--spin is required for '{cmd}'")
     if cmd == "neighborhood" and not (cfg.h or cfg.field_path):
@@ -163,6 +159,8 @@ def parse_config(argv):
 
     # values from a config file arrive untyped
     try:
+        for s in cfg.spins:
+            preimage._unit_target(s)  # the engines' own rule for a spin target
         if cfg.eps is not None:
             if cmd != "neighborhood":
                 raise UsageError(f"--eps is only valid for 'neighborhood', not '{cmd}'")
@@ -249,8 +247,8 @@ def _cmd_index(cfg):
     return [_emit(cfg, f"index_h{_htag(cfg.h[0])}_n{cfg.n[0]}.json", doc)]
 
 def _cmd_chern(cfg):
-    doc = {"h": cfg.h[0], "n": cfg.n[0],
-           "chern_numbers": invariants.chern_numbers(_analytic(cfg))}
+    curv = invariants.berry_curvature(_analytic(cfg))
+    doc = {"h": cfg.h[0], "n": cfg.n[0], "chern_numbers": invariants.chern_numbers(curv)}
     return [_emit(cfg, f"chern_h{_htag(cfg.h[0])}_n{cfg.n[0]}.json", doc)]
 
 def _cmd_scaling(cfg):

@@ -13,19 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bzgrid import AXES, MeshSpec, SliceField, StateField, sample_state_field, slice_field
+from .bzgrid import MeshSpec, StateField, sample_state_field
 from .errors import NonIntegerFlux, NonzeroNetFlux, OrthogonalNeighbors
 from .model import HopfParams
 
 TOL_OVERLAP = 1e-8
 
+AXES = {"x": 0, "y": 1, "z": 2}  # field axis of each slice-normal name
+
 _CYCLIC = {0: (1, 2), 1: (2, 0), 2: (0, 1)}
-
-
-def _orthogonal(site, axis):
-    return OrthogonalNeighbors(
-        f"orthogonal neighbors at site {site} along axis {axis}", site=site, axis=axis
-    )
 
 
 def _grid_links(states, axes):
@@ -44,8 +40,10 @@ def _grid_links(states, axes):
         ov += down_bar * np.roll(down, -1, axis=ax)
         mag = np.abs(ov)
         if mag.min() <= TOL_OVERLAP:
-            site = np.unravel_index(int(np.argmin(mag)), mag.shape)
-            raise _orthogonal(tuple(int(x) for x in site), ax)
+            site = tuple(int(x) for x in np.unravel_index(int(np.argmin(mag)), mag.shape))
+            raise OrthogonalNeighbors(
+                f"orthogonal neighbors at site {site} along axis {ax}", site=site, axis=ax
+            )
         ov /= mag
         links.append(ov)
     return links
@@ -105,24 +103,20 @@ def berry_curvature(f: StateField):
     return CurvatureField(f.mesh, values)
 
 
-def chern_number(s: SliceField):
-    """Chern number of a 2D layer: the integer total plaquette flux.
+def chern_number(curv: CurvatureField, axis, layer):
+    """Chern number of the layer normal to ``axis`` at ``layer``: its integer
+    total plaquette flux, the layer sum of the matching curvature component.
 
-    The plaquette orientation follows the cyclic convention of the normal
-    axis, so the value equals the layer sum of the matching curvature
-    component.  OrthogonalNeighbors names the field's site and axis; a sum
-    off an integer by more than 1e-6 raises NonIntegerFlux.
+    Raises ValueError for an axis other than x, y, z, IndexError for a layer
+    outside [0, n), and NonIntegerFlux for a sum off an integer by more than
+    1e-6.
     """
-    mu = AXES[s.axis]
-    nu, tau = _CYCLIC[mu]
-    # the layer as a one-site-thick grid, so grid axes are the field's axes
-    states = np.expand_dims(s.pure_states(), mu)
-    try:
-        links = _grid_links(states, axes=(nu, tau))
-    except OrthogonalNeighbors as err:
-        site = err.site[:mu] + (s.layer,) + err.site[mu + 1:]
-        raise _orthogonal(site, err.axis) from None
-    total = np.angle(_plaquettes(*links, nu, tau)).sum() / (2.0 * np.pi)
+    if axis not in AXES:
+        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
+    if not 0 <= layer < curv.mesh.n:
+        raise IndexError(f"layer {layer} out of range for n={curv.mesh.n}")
+    mu = AXES[axis]
+    total = np.take(curv.values[mu], layer, axis=mu).sum()
     c = int(np.rint(total))
     if abs(total - c) > 1e-6:
         raise NonIntegerFlux(
@@ -131,10 +125,10 @@ def chern_number(s: SliceField):
     return c
 
 
-def chern_numbers(f: StateField):
+def chern_numbers(curv: CurvatureField):
     """All 3n slice Chern numbers, {'x': [...], 'y': [...], 'z': [...]}."""
     return {
-        axis: [chern_number(slice_field(f, axis, j)) for j in range(f.n)]
+        axis: [chern_number(curv, axis, j) for j in range(curv.mesh.n)]
         for axis in "xyz"
     }
 
@@ -218,6 +212,7 @@ class HopfIndexResult:
     h: float
     nearest_integer: int
     deviation: float
+    chern_numbers: dict
 
 
 def _recenter_to_sites(curv, conn):
@@ -250,10 +245,13 @@ def hopf_index(f: StateField):
     With F in flux/2pi units and A from the lattice solve, the plain lattice
     sum needs no extra volume factor; the quantized values of the phase
     diagram fix the normalization.  F and A are spectrally re-centered onto
-    the mesh sites before contraction (see _recenter_to_sites).
+    the mesh sites before contraction (see _recenter_to_sites).  The slice
+    Chern numbers come from the same curvature, once berry_connection has
+    found them all zero.
     """
     curv = berry_curvature(f)
     conn = berry_connection(curv)
+    cherns = chern_numbers(curv)
     f_sites, a_sites = _recenter_to_sites(curv, conn)
     chi = -float(np.sum(f_sites * a_sites))
     nearest = int(np.rint(chi))
@@ -263,12 +261,15 @@ def hopf_index(f: StateField):
         h=f.params.h,
         nearest_integer=nearest,
         deviation=abs(chi - nearest),
+        chern_numbers=cherns,
     )
 
 
 def chi_infinity(h):
     """Ideal Hopf index of the model: 1 for 1<|h|<3, -2 for |h|<1, 0 for |h|>3."""
     ah = abs(h)
+    if not np.isfinite(ah):
+        raise ValueError(f"h={h} is not finite; the index is undefined")
     if ah in (1.0, 3.0):
         raise ValueError(f"h={h} is a phase transition; the index is undefined")
     if ah < 1.0:
@@ -309,5 +310,5 @@ def index_report(f: StateField):
         "chi": res.chi,
         "nearest_integer": res.nearest_integer,
         "deviation": res.deviation,
-        "chern_numbers": chern_numbers(f),
+        "chern_numbers": res.chern_numbers,
     }

@@ -6,7 +6,6 @@ from hopfsim.bzgrid import (
     StateField,
     coverage_fraction,
     sample_state_field,
-    slice_field,
     texture_rows,
 )
 from hopfsim.errors import EmptyInput, GaplessPoint
@@ -47,24 +46,6 @@ def test_sample_state_field_gapless_names_the_first_closing_site():
     np.testing.assert_array_equal(err.value.k, [0.0, np.pi, np.pi])
 
 
-def test_slice_views_and_reassembly():
-    f = sample_state_field(HopfParams(2.0), MeshSpec(6))
-    for axis, ax_idx in (("x", 0), ("y", 1), ("z", 2)):
-        stack = np.stack(
-            [slice_field(f, axis, j).pure_states() for j in range(6)], axis=ax_idx
-        )
-        np.testing.assert_array_equal(stack, f.data)
-    sl = slice_field(f, "z", 0)
-    assert sl.pure_states().shape == (6, 6, 2)
-    np.testing.assert_allclose(sl.bloch_vectors()[0, 0], [0, 0, 1], atol=1e-12)
-    sx = slice_field(f, "x", 5)
-    np.testing.assert_array_equal(sx.pure_states(), f.data[5])
-    with pytest.raises(IndexError):
-        slice_field(f, "z", 6)
-    with pytest.raises(ValueError):
-        slice_field(f, "w", 0)
-
-
 def test_coverage_single_cell():
     vecs = np.tile([0.0, 0.0, 1.0], (7, 1))
     assert coverage_fraction(vecs, 128) == pytest.approx(1 / 128)
@@ -73,8 +54,7 @@ def test_coverage_single_cell():
 def test_coverage_full_field_vs_slice():
     f = sample_state_field(HopfParams(2.0), MeshSpec(10))
     assert coverage_fraction(f.bloch_vectors(), 64) == 1.0
-    sl = slice_field(f, "z", 0)
-    assert coverage_fraction(sl.bloch_vectors(), 64) < 1.0
+    assert coverage_fraction(f.bloch_vectors()[:, :, 0], 64) < 1.0
 
 
 def test_coverage_trivial_phase_not_full():

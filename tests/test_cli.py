@@ -103,6 +103,20 @@ def test_non_finite_spin_or_k_is_a_usage_error(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["link", "--h", "2", "--spins", "1.0000005,0,0;0,1,0", "--res", "32"],
+    ["preimage", "--h", "2", "--spin", "1.0000005,0,0", "--res", "32"],
+    ["neighborhood", "--h", "2", "--n", "6", "--spin", "1.0000005,0,0", "--eps", "0.3"],
+])
+def test_spin_off_unit_norm_is_a_usage_error(tmp_path, capsys, argv):
+    # the CLI holds a spin target to the engines' own 1e-9 unit-norm rule
+    assert run_cli(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "unit vector" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (["adiabatic", "--h", "1e308", "--k", "0.1,0.2,0.3"], "|h| must be <= 1e+75"),
     (["index", "--h", "1e308", "--n", "4"], "|h| must be <= 1e+75"),
@@ -312,6 +326,16 @@ def test_engine_error_json_exit_1(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "OrthogonalNeighbors"
     assert err["message"] == "orthogonal neighbors at site (3, 2, 2) along axis 0"
+
+
+def test_chern_names_the_orthogonal_neighbors_of_index(tmp_path, capsys):
+    errors = []
+    for cmd in ("index", "chern"):
+        assert run_cli([cmd, "--h", "2", "--n", "4"], tmp_path) == 1
+        errors.append(json.loads(capsys.readouterr().err))
+    assert errors[0] == errors[1]
+    assert errors[1]["detail"] == {"site": [3, 2, 2], "axis": 0}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_idempotent_apart_from_timestamp(tmp_path, capsys):

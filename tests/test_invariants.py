@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hopfsim import invariants
-from hopfsim.bzgrid import MeshSpec, StateField, pure_spinors, sample_state_field, slice_field
+from hopfsim.bzgrid import MeshSpec, StateField, pure_spinors, sample_state_field
 from hopfsim.errors import NonIntegerFlux, NonzeroNetFlux, OrthogonalNeighbors
 from hopfsim.invariants import (
     TOL_OVERLAP,
@@ -110,17 +110,26 @@ def test_curvature_gauge_invariant():
 @pytest.mark.parametrize("h", [0.0, 2.0])
 def test_slice_chern_numbers_vanish(h):
     f = sample_state_field(HopfParams(h), MeshSpec(10))
-    cn = chern_numbers(f)
+    cn = chern_numbers(berry_curvature(f))
     assert all(c == 0 for axis in "xyz" for c in cn[axis])
 
 
 def test_constant_slice_chern_zero():
-    assert chern_number(slice_field(_constant_field(), "z", 0)) == 0
+    assert chern_number(berry_curvature(_constant_field()), "z", 0) == 0
+
+
+def test_chern_number_refuses_unknown_axis_and_out_of_range_layer():
+    curv = berry_curvature(sample_state_field(HopfParams(2.0), MeshSpec(6)))
+    with pytest.raises(ValueError):
+        chern_number(curv, "w", 0)
+    for layer in (6, -1):
+        with pytest.raises(IndexError):
+            chern_number(curv, "z", layer)
 
 
 def test_synthetic_chern_layer():
     f = _chern_layer_field()
-    assert abs(chern_number(slice_field(f, "z", 0))) == 1
+    assert abs(chern_number(berry_curvature(f), "z", 0)) == 1
     with pytest.raises(NonzeroNetFlux) as err:
         berry_connection(berry_curvature(f))
     assert err.value.axis == "z"
@@ -131,8 +140,8 @@ def test_synthetic_chern_layer():
 def test_synthetic_chern_layer_other_axes(stack_axis, normal):
     # orientation bookkeeping must hold for every slice normal
     f = _chern_layer_field(stack_axis=stack_axis)
-    assert abs(chern_number(slice_field(f, normal, 3))) == 1
     curv = berry_curvature(f)
+    assert abs(chern_number(curv, normal, 3)) == 1
     assert abs(curv.layer_sums(normal)[3]) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -141,19 +150,19 @@ def test_random_field_chern_integrality():
     n = 8
     data = rng.normal(size=(n, n, n, 2)) + 1j * rng.normal(size=(n, n, n, 2))
     data /= np.linalg.norm(data, axis=-1, keepdims=True)
-    f = StateField(MeshSpec(n), HopfParams(2.0), data)
+    curv = berry_curvature(StateField(MeshSpec(n), HopfParams(2.0), data))
     for axis in "xyz":
         for layer in range(n):
-            assert isinstance(chern_number(slice_field(f, axis, layer)), int)
+            assert isinstance(chern_number(curv, axis, layer), int)
 
 
-def test_chern_number_non_integer_flux_is_typed(monkeypatch):
-    # a closed layer's flux sum is an integer up to rounding; break the
-    # plaquette product to reach the check
-    plaquettes = invariants._plaquettes
-    monkeypatch.setattr(invariants, "_plaquettes", lambda *a: plaquettes(*a) * np.exp(0.3j))
+def test_chern_number_non_integer_flux_is_typed():
+    # a closed layer's flux sum is an integer up to rounding; break one
+    # plaquette flux to reach the check
+    curv = berry_curvature(_constant_field())
+    curv.values[2, 0, 0, 0] = 0.3
     with pytest.raises(NonIntegerFlux):
-        chern_number(slice_field(_constant_field(), "z", 0))
+        chern_number(curv, "z", 0)
 
 
 def _projectors(f):
@@ -161,37 +170,40 @@ def _projectors(f):
     return StateField(f.mesh, f.params, rho, provenance="simulated-experiment")
 
 
-def test_slices_convert_only_their_own_sites(monkeypatch):
+def test_index_report_makes_one_curvature_pass(monkeypatch):
+    # on a density-matrix field the one pass diagonalizes each site once
     f = sample_state_field(HopfParams(2.0), MeshSpec(6))
     fr = _projectors(f)
-    pure = fr.pure_states()
-    for axis, ax in (("x", 0), ("y", 1), ("z", 2)):
-        for j in range(6):
-            sl = slice_field(fr, axis, j).pure_states()
-            assert sl.tobytes() == np.take(pure, j, axis=ax).tobytes()
-    seen = []
-    eigh = np.linalg.eigh
+    seen, curvatures = [], []
+    eigh, curvature = np.linalg.eigh, invariants.berry_curvature
 
     def counting_eigh(a):
         seen.append(a.size // 4)
         return eigh(a)
 
+    def counting_curvature(field):
+        curvatures.append(field)
+        return curvature(field)
+
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    assert chern_numbers(fr) == chern_numbers(f)
-    assert seen == [6 * 6] * (3 * 6)
+    monkeypatch.setattr(invariants, "berry_curvature", counting_curvature)
+    rep = index_report(fr)
+    assert len(curvatures) == 1 and curvatures[0] is fr
+    assert seen == [6 ** 3]
+    assert rep["chern_numbers"] == chern_numbers(curvature(f))
 
 
 def test_slice_chern_numbers_of_density_matrices():
     f = _chern_layer_field()
-    cn = chern_numbers(_projectors(f))
-    assert cn == chern_numbers(f)
+    cn = chern_numbers(berry_curvature(_projectors(f)))
+    assert cn == chern_numbers(berry_curvature(f))
     assert all(abs(c) == 1 for c in cn["z"])
 
 
 def test_slice_orthogonal_neighbors_name_field_site_and_axis():
     f = sample_state_field(HopfParams(0.5), MeshSpec(6))
     with pytest.raises(OrthogonalNeighbors) as err:
-        chern_numbers(f)
+        chern_numbers(berry_curvature(f))
     site, axis = err.value.site, err.value.axis
     assert len(site) == 3 and axis in (0, 1, 2)
     nb = list(site)
@@ -260,6 +272,12 @@ def test_chi_infinity():
         chi_infinity(-3.0)
 
 
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), float("-inf")])
+def test_chi_infinity_refuses_non_finite_h(h):
+    with pytest.raises(ValueError):
+        chi_infinity(h)
+
+
 @pytest.mark.parametrize("h", [0.0, 2.0])
 def test_scaling_monotone(h):
     rows = scaling_study(h, [10, 14])
@@ -280,3 +298,7 @@ def test_index_report_schema():
     rep = index_report(f)
     assert set(rep) == {"h", "n", "chi", "nearest_integer", "deviation", "chern_numbers"}
     assert all(len(rep["chern_numbers"][ax]) == 6 for ax in "xyz")
+    # the slice Chern numbers are the rounded layer sums of the curvature
+    curv = berry_curvature(f)
+    assert rep["chern_numbers"] == {
+        ax: np.rint(curv.layer_sums(ax)).astype(int).tolist() for ax in "xyz"}
