@@ -166,8 +166,7 @@ def sample_state_field(params, mesh):
         With the offending site, if the gap closes on the mesh.
     """
     k = mesh.points()
-    u = model.u_of_k(k, params)
-    mag = model.norms(u)
+    mag = model.norms(model.u_of_k(k, params))  # u itself is not kept
     if mag.min() < model.GAP_TOL:
         site = tuple(int(x) for x in np.unravel_index(int(np.argmin(mag)), mag.shape))
         raise GaplessPoint(
@@ -176,6 +175,7 @@ def sample_state_field(params, mesh):
             k=mesh.site_k(site),
             site=site,
         )
+    del mag  # not held while ground_state forms its own u(k) and |u|
     return StateField(mesh, params, model.ground_state(k, params))
 
 

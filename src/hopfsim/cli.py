@@ -7,8 +7,8 @@ Artifacts are JSON (CSV for spin textures), written atomically, and carry a
 ``generated_at`` timestamp; reruns with equal configuration are otherwise
 byte-identical.
 
-Exit statuses: 0 success, 1 engine error (machine-readable JSON on stderr),
-2 usage error, 3 I/O error.
+Exit statuses: 0 success, 1 engine error or a mesh too large for memory
+(machine-readable JSON on stderr), 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -367,7 +367,9 @@ def _report(err):
         for k in ("site", "axis", "layer", "flux", "k", "windings")
         if getattr(err, k, None) is not None
     }
-    doc = {"error": type(err).__name__, "message": str(err)}
+    # numpy raises a private MemoryError subclass; report the public name
+    name = "MemoryError" if isinstance(err, MemoryError) else type(err).__name__
+    doc = {"error": name, "message": str(err)}
     if detail:
         doc["detail"] = {k: np.asarray(v).tolist() for k, v in detail.items()}
     print(json.dumps(doc), file=sys.stderr)
@@ -378,7 +380,7 @@ def dispatch(cfg):
     """Run the configured engine; writes artifacts, returns the exit status."""
     try:
         paths = _COMMANDS[cfg.subcommand](cfg)
-    except (HopfError, OSError) as err:
+    except (HopfError, OSError, MemoryError) as err:
         return _report(err)
     for p in paths:
         print(p)

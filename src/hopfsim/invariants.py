@@ -24,6 +24,33 @@ AXES = {"x": 0, "y": 1, "z": 2}  # field axis of each slice-normal name
 _CYCLIC = {0: (1, 2), 1: (2, 0), 2: (0, 1)}
 
 
+# numpy evaluates ``a * tmp`` as ``tmp *= a`` when tmp is a fresh temporary
+# (a np.roll result, say) of at least this many bytes: temporary elision.
+_ELIDE_BYTES = 256 * 1024
+
+
+def _times_temp(a, tmp):
+    """``a * tmp`` for a scratch array ``tmp``, evaluated as numpy evaluates
+    the expression when ``tmp`` is a temporary: in place in ``tmp`` from
+    _ELIDE_BYTES up, into a fresh array below.  numpy's complex product
+    rounds differently in those two forms (its vectorized kernel is not
+    bitwise commutative, and an in-place product of one element takes
+    another kernel), so links and fluxes stay bit for bit those of
+    ``a * np.roll(...)`` at every size."""
+    if tmp.nbytes >= _ELIDE_BYTES:
+        return np.multiply(tmp, a, out=tmp)
+    return a * tmp
+
+
+def _roll_into(out, a, ax):
+    """out = np.roll(a, -1, axis=ax), written as two slice copies into a
+    preallocated array instead of a fresh one."""
+    lead = (slice(None),) * ax
+    out[lead + (slice(None, -1),)] = a[lead + (slice(1, None),)]
+    out[lead + (slice(-1, None),)] = a[lead + (slice(None, 1),)]
+    return out
+
+
 def _grid_links(states, axes):
     """U(1) links <a|b> / |<a|b>| along the given axes of a periodic grid of
     spinors, states of shape grid + (2,); one complex array per axis.
@@ -34,11 +61,13 @@ def _grid_links(states, axes):
     # runs such a reduction as one inner-loop call per site
     up, down = states[..., 0], states[..., 1]
     up_bar, down_bar = np.conj(up), np.conj(down)
+    shifted = np.empty_like(up_bar)
+    mag = np.empty(up_bar.shape)
     links = []
     for ax in axes:
-        ov = up_bar * np.roll(up, -1, axis=ax)
-        ov += down_bar * np.roll(down, -1, axis=ax)
-        mag = np.abs(ov)
+        ov = _times_temp(up_bar, _roll_into(np.empty_like(up_bar), up, ax))
+        ov += _times_temp(down_bar, _roll_into(shifted, down, ax))
+        np.abs(ov, out=mag)
         if mag.min() <= TOL_OVERLAP:
             site = tuple(int(x) for x in np.unravel_index(int(np.argmin(mag)), mag.shape))
             raise OrthogonalNeighbors(
@@ -49,15 +78,14 @@ def _grid_links(states, axes):
     return links
 
 
-def _plaquettes(u_nu, u_tau, nu, tau):
+def _plaquettes(u_nu, u_tau, nu, tau, buf, work):
     """U_nu(k) U_tau(k+nu) U_nu(k+tau)^-1 U_tau(k)^-1 on every (nu, tau)
-    plaquette of a periodic grid of links."""
-    return (
-        u_nu
-        * np.roll(u_tau, -1, axis=nu)
-        * np.conj(np.roll(u_nu, -1, axis=tau))
-        * np.conj(u_tau)
-    )
+    plaquette of a periodic grid of links; ``buf`` and ``work`` are scratch
+    arrays of the same shape, and on large grids the result is ``buf``."""
+    plaq = _times_temp(u_nu, _roll_into(buf, u_tau, nu))
+    plaq *= np.conjugate(_roll_into(work, u_nu, tau), out=work)
+    plaq *= np.conjugate(u_tau, out=work)
+    return plaq
 
 
 @dataclass
@@ -93,13 +121,16 @@ def berry_curvature(f: StateField):
     with (mu, nu, tau) cyclic.  Gauge-invariant: per-site phases cancel in
     the closed plaquette product.
     """
-    states = f.pure_states()
-    links = _grid_links(states, axes=(0, 1, 2))
+    links = _grid_links(f.pure_states(), axes=(0, 1, 2))
     n = f.n
     values = np.empty((3, n, n, n))
+    buf, work = np.empty_like(links[0]), np.empty_like(links[0])
     for mu in range(3):
         nu, tau = _CYCLIC[mu]
-        values[mu] = np.angle(_plaquettes(links[nu], links[tau], nu, tau)) / (2.0 * np.pi)
+        plaq = _plaquettes(links[nu], links[tau], nu, tau, buf, work)
+        layer = values[mu]
+        np.arctan2(plaq.imag, plaq.real, out=layer)  # np.angle, in place
+        layer /= 2.0 * np.pi
     return CurvatureField(f.mesh, values)
 
 
@@ -138,6 +169,17 @@ def _along(vec, ax):
     return vec.reshape([-1 if a == ax else 1 for a in range(3)])
 
 
+def _fftn_real(arr, out):
+    """np.fft.fftn of a real array, into the complex array ``out``.
+
+    Copying the input into ``out`` first and transforming there spares the
+    complex copy of the whole input that fftn makes for a real argument; the
+    transform sees the same values, so the result is the same bit for bit.
+    """
+    out[...] = arr
+    return np.fft.fftn(out, out=out)
+
+
 def berry_connection(curv: CurvatureField):
     """Solve the lattice curl(A) = F in the Coulomb gauge.
 
@@ -166,7 +208,9 @@ def berry_connection(curv: CurvatureField):
                 flux=float(sums[worst]),
             )
 
-    fhat = [np.fft.fftn(curv.values[mu]) for mu in range(3)]
+    fhat = np.empty(curv.values.shape, dtype=complex)
+    for mu in range(3):
+        _fftn_real(curv.values[mu], fhat[mu])
     m = np.fft.fftfreq(n, d=1.0 / n)  # integer mode numbers
     d = np.exp(2j * np.pi * m / n) - 1.0
     dbar = [_along(np.conj(d), ax) for ax in range(3)]
@@ -174,14 +218,15 @@ def berry_connection(curv: CurvatureField):
     denom = _along(sq, 0) + _along(sq, 1) + _along(sq, 2)
     denom[0, 0, 0] = 1.0  # zero mode handled below
     a = np.empty_like(curv.values)
+    ahat, term = np.empty_like(fhat[0]), np.empty_like(fhat[0])
     for mu in range(3):
         nu, tau = _CYCLIC[mu]
-        ahat = dbar[nu] * fhat[tau]
-        ahat -= dbar[tau] * fhat[nu]
+        np.multiply(dbar[nu], fhat[tau], out=ahat)
+        ahat -= np.multiply(dbar[tau], fhat[nu], out=term)
         np.negative(ahat, out=ahat)
         ahat /= denom
         ahat[0, 0, 0] = 0.0
-        a[mu] = np.fft.ifftn(ahat).real
+        a[mu] = np.fft.ifftn(ahat, out=ahat).real
     return ConnectionField(curv.mesh, a)
 
 
@@ -224,18 +269,20 @@ def _recenter_to_sites(curv, conn):
     m = np.fft.fftfreq(n, d=1.0 / n)
     half = np.exp(-1j * np.pi * m / n)
 
-    def shift(arr, axes):
-        ah = np.fft.fftn(arr)
+    buf = np.empty((n, n, n), dtype=complex)
+
+    def shift(arr, axes, out):
+        ah = _fftn_real(arr, buf)
         for ax in axes:
             ah *= _along(half, ax)
-        return np.fft.ifftn(ah).real
+        out[...] = np.fft.ifftn(ah, out=ah).real
 
     f_sites = np.empty_like(curv.values)
     a_sites = np.empty_like(conn.values)
     for mu in range(3):
         nu, tau = _CYCLIC[mu]
-        f_sites[mu] = shift(curv.values[mu], (nu, tau))
-        a_sites[mu] = shift(conn.values[mu], (mu,))
+        shift(curv.values[mu], (nu, tau), f_sites[mu])
+        shift(conn.values[mu], (mu,), a_sites[mu])
     return f_sites, a_sites
 
 
@@ -253,7 +300,8 @@ def hopf_index(f: StateField):
     conn = berry_connection(curv)
     cherns = chern_numbers(curv)
     f_sites, a_sites = _recenter_to_sites(curv, conn)
-    chi = -float(np.sum(f_sites * a_sites))
+    f_sites *= a_sites
+    chi = -float(np.sum(f_sites))
     nearest = int(np.rint(chi))
     return HopfIndexResult(
         chi=chi,

@@ -128,10 +128,15 @@ def ground_state(k, params):
     # Lower-band eigenvector, branch chosen away from its vanishing pole:
     #   uz <= 0:  (n - uz, -(ux + i uy))     uz > 0:  (-(ux - i uy), n + uz)
     # Either branch already has its dominant amplitude real positive, which is
-    # exactly the documented gauge.
+    # exactly the documented gauge.  Each amplitude is np.where of the two
+    # branches, formed in its own plane of psi: one branch everywhere, then
+    # the other copied over it where it applies.
     lower = uz <= 0
-    psi[..., 0] = np.where(lower, n - uz, -(ux - 1j * uy))
-    psi[..., 1] = np.where(lower, -(ux + 1j * uy), n + uz)
+    up, down = psi[..., 0], psi[..., 1]
+    np.negative(np.subtract(ux, np.multiply(1j, uy, out=up), out=up), out=up)
+    np.copyto(up, n - uz, where=lower)
+    np.negative(np.add(ux, np.multiply(1j, uy, out=down), out=down), out=down)
+    np.copyto(down, n + uz, where=~lower)
     psi /= norms(psi)[..., None]
     return psi
 

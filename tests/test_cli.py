@@ -328,6 +328,23 @@ def test_engine_error_json_exit_1(tmp_path, capsys):
     assert err["message"] == "orthogonal neighbors at site (3, 2, 2) along axis 0"
 
 
+class _ArrayTooLarge(MemoryError):
+    # stands in for numpy's private MemoryError subclass on a huge mesh
+    pass
+
+
+@pytest.mark.parametrize("err", [MemoryError(), _ArrayTooLarge("Unable to allocate 179. GiB")])
+def test_mesh_too_large_for_memory_is_json_exit_1(tmp_path, capsys, monkeypatch, err):
+    def out_of_memory(field):
+        raise err
+
+    monkeypatch.setattr(cli.invariants, "index_report", out_of_memory)
+    assert run_cli(["index", "--h", "2", "--n", "6"], tmp_path) == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc == {"error": "MemoryError", "message": str(err)}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_chern_names_the_orthogonal_neighbors_of_index(tmp_path, capsys):
     errors = []
     for cmd in ("index", "chern"):

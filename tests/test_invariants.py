@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,11 @@ from hopfsim import invariants
 from hopfsim.bzgrid import MeshSpec, StateField, pure_spinors, sample_state_field
 from hopfsim.errors import NonIntegerFlux, NonzeroNetFlux, OrthogonalNeighbors
 from hopfsim.invariants import (
+    _CYCLIC,
     TOL_OVERLAP,
+    _along,
     _grid_links,
+    _recenter_to_sites,
     berry_connection,
     berry_curvature,
     chern_number,
@@ -302,3 +307,142 @@ def test_index_report_schema():
     curv = berry_curvature(f)
     assert rep["chern_numbers"] == {
         ax: np.rint(curv.layer_sums(ax)).astype(int).tolist() for ax in "xyz"}
+
+
+# ---------------------------------------------------------------------------
+# the in-place pipeline against its allocating form
+
+
+def _reference_links(states, axes):
+    up, down = states[..., 0], states[..., 1]
+    up_bar, down_bar = np.conj(up), np.conj(down)
+    links = []
+    for ax in axes:
+        ov = up_bar * np.roll(up, -1, axis=ax)
+        ov += down_bar * np.roll(down, -1, axis=ax)
+        ov /= np.abs(ov)
+        links.append(ov)
+    return links
+
+
+def _reference_curvature(f):
+    # every link, plaquette and flux as a fresh array
+    links = _reference_links(f.pure_states(), (0, 1, 2))
+    values = np.empty((3,) + links[0].shape)
+    for mu in range(3):
+        nu, tau = _CYCLIC[mu]
+        u_nu, u_tau = links[nu], links[tau]
+        plaq = (u_nu * np.roll(u_tau, -1, axis=nu) * np.conj(np.roll(u_nu, -1, axis=tau))
+                * np.conj(u_tau))
+        values[mu] = np.angle(plaq) / (2.0 * np.pi)
+    return values
+
+
+def _reference_connection(curv):
+    n = curv.mesh.n
+    fhat = [np.fft.fftn(curv.values[mu]) for mu in range(3)]
+    m = np.fft.fftfreq(n, d=1.0 / n)
+    d = np.exp(2j * np.pi * m / n) - 1.0
+    dbar = [_along(np.conj(d), ax) for ax in range(3)]
+    sq = np.abs(d) ** 2
+    denom = _along(sq, 0) + _along(sq, 1) + _along(sq, 2)
+    denom[0, 0, 0] = 1.0
+    a = np.empty_like(curv.values)
+    for mu in range(3):
+        nu, tau = _CYCLIC[mu]
+        ahat = dbar[nu] * fhat[tau]
+        ahat -= dbar[tau] * fhat[nu]
+        np.negative(ahat, out=ahat)
+        ahat /= denom
+        ahat[0, 0, 0] = 0.0
+        a[mu] = np.fft.ifftn(ahat).real
+    return a
+
+
+def _reference_recenter(curv, conn):
+    n = curv.mesh.n
+    half = np.exp(-1j * np.pi * np.fft.fftfreq(n, d=1.0 / n) / n)
+
+    def shift(arr, axes):
+        ah = np.fft.fftn(arr)
+        for ax in axes:
+            ah *= _along(half, ax)
+        return np.fft.ifftn(ah).real
+
+    f_sites = np.empty_like(curv.values)
+    a_sites = np.empty_like(conn.values)
+    for mu in range(3):
+        nu, tau = _CYCLIC[mu]
+        f_sites[mu] = shift(curv.values[mu], (nu, tau))
+        a_sites[mu] = shift(conn.values[mu], (mu,))
+    return f_sites, a_sites
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _variant(kind, n):
+    f = sample_state_field(HopfParams(2.0), MeshSpec(n))
+    if kind == "rho":
+        return _projectors(f)
+    if kind == "gauge":
+        return f.apply_gauge(np.random.default_rng(n).uniform(0, 2 * np.pi, (n,) * 3))
+    return f
+
+
+# n = 26 is the smallest mesh whose complex arrays reach numpy's 256 KiB
+# temporary-elision size, where the allocating products swap their operands
+@pytest.mark.parametrize("kind", ["spinor", "rho", "gauge"])
+@pytest.mark.parametrize("n", [6, 10, 17, 26])
+def test_in_place_pipeline_is_bit_identical_to_the_allocating_one(kind, n):
+    f = _variant(kind, n)
+    curv = berry_curvature(f)
+    assert _same_bits(curv.values, _reference_curvature(f))
+    conn = berry_connection(curv)
+    assert _same_bits(conn.values, _reference_connection(curv))
+    f_sites, a_sites = _recenter_to_sites(curv, conn)
+    ref_f, ref_a = _reference_recenter(curv, conn)
+    assert _same_bits(f_sites, ref_f) and _same_bits(a_sites, ref_a)
+    assert hopf_index(f).chi == -float(np.sum(ref_f * ref_a))
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (3,), (5,), (2, 3), (130, 130)])
+def test_links_are_bit_identical_to_the_allocating_ones_on_any_grid(shape):
+    # one site is its own neighbour, where numpy's in-place complex product
+    # rounds apart from the fresh one; 130 x 130 reaches the elision size
+    rng = np.random.default_rng(len(shape) * 100 + shape[0])
+    states = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+    states /= np.linalg.norm(states, axis=-1, keepdims=True)
+    axes = tuple(range(len(shape)))
+    for link, ref in zip(_grid_links(states, axes), _reference_links(states, axes)):
+        assert _same_bits(link, ref)
+
+
+def test_successive_calls_do_not_alias_earlier_results():
+    fields = [sample_state_field(HopfParams(h), MeshSpec(10)) for h in (2.0, -2.6)]
+    curvs = [berry_curvature(f) for f in fields]
+    kept = [c.values.copy() for c in curvs]
+    conns = [berry_connection(c) for c in curvs]
+    first = conns[0].values.copy()
+    berry_connection(curvs[1])
+    hopf_index(fields[1])
+    assert np.array_equal(conns[0].values, first)
+    assert not np.array_equal(conns[0].values, conns[1].values)
+    assert all(np.array_equal(c.values, k) for c, k in zip(curvs, kept))
+
+
+def test_index_report_peak_memory_bound():
+    # the allocating pipeline peaked at 9.5 complex n^3 arrays; the in-place
+    # one at 8.8 (the spectral solve: three transforms, two work arrays, the
+    # curvature and the connection)
+    n = 32
+    f = sample_state_field(HopfParams(2.0), MeshSpec(n))
+    index_report(f)
+    tracemalloc.start()
+    try:
+        index_report(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.0 * n ** 3 * 16
