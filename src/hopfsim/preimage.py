@@ -16,10 +16,13 @@ the cycles of that pairing.  Loops are embedded in R3 through the S3 map and
 a stereographic chart, where pairwise Gauss linking numbers are evaluated
 segment-pair exactly; on the torus they are lifted to the universal cover and
 linked against periodic images, which needs loops that do not wind the torus
-(``WindingLoops`` otherwise).  Every Gauss sum is one fused array pass over
-the chords between the two curves; the chord lengths are the vertex
-distances, so the same pass gives the separation check (``CurvesTooClose``)
-and the separation margin of a link matrix.
+(``WindingLoops`` otherwise).  A Gauss sum cuts both curves into blocks: a
+block pair whose bounding boxes touch is one fused array pass over its
+chords, and a block pair whose boxes are separated along an axis is summed
+by Stokes' theorem from the boundary of its rectangle of chords.  The fused
+passes measure vertex distances, and separated pairs are measured where
+their box distance does not rule them out, which gives the exact separation
+check (``CurvesTooClose``) and the separation margin of a link matrix.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .errors import (
 )
 
 TOL_SEP = 1e-3
-_GAUSS_ROWS = 64  # vertices of the first curve per block of pair arrays
+_GAUSS_BLOCK = 64  # segments of either curve per block of a Gauss sum
 _LEVEL_NUDGE = (1.0e-9, 1.37e-9)  # dodges exact-zero grid values on symmetry planes
 
 TWO_PI = 2.0 * np.pi
@@ -492,55 +495,162 @@ class GaussSum(float):
         return self
 
 
+def _block_boxes(v, starts):
+    """Bounding boxes of the blocks of a closed vertex array (its first vertex
+    repeated at the end): block k holds vertices starts[k] to
+    starts[k] + _GAUSS_BLOCK, both ends included, as its segments need."""
+    ends = np.minimum(starts + _GAUSS_BLOCK, len(v) - 1)
+    lo = np.minimum(np.minimum.reduceat(v[:-1], starts), v[ends])
+    hi = np.maximum(np.maximum.reduceat(v[:-1], starts), v[ends])
+    return lo, hi
+
+
+def _chords(rows, cols):
+    """Chord components from every row vertex (m, 3) to every column vertex
+    (3, k), each an (m, k) array, and the chord lengths."""
+    cx = cols[0] - rows[:, 0, None]
+    cy = cols[1] - rows[:, 1, None]
+    cz = cols[2] - rows[:, 2, None]
+    return cx, cy, cz, np.sqrt(cx * cx + cy * cy + cz * cz)
+
+
+def _quad_sum(cx, cy, cz, dist):
+    """Sum of the arctan2 halves of the solid angles of every quadrilateral of
+    a chord grid: rows follow a, columns follow b.
+
+    The corners of the quadrilateral of segment pair (i, j) are the unit
+    chords c1 = [i, j], c2 = [i+1, j], c3 = [i+1, j+1] and c4 = [i, j+1], so
+    the dot products of neighbouring chords along a (c1.c2, c4.c3) and along
+    b (c1.c4, c2.c3) are each one array shared by adjacent quads.  One cross
+    product X = c1 x c3 gives both triple products: c1.(c2 x c3) = -c2.X and
+    c1.(c3 x c4) = c4.X."""
+    cx /= dist
+    cy /= dist
+    cz /= dist
+    along_a = cx[:-1] * cx[1:] + cy[:-1] * cy[1:] + cz[:-1] * cz[1:]
+    along_b = cx[:, :-1] * cx[:, 1:] + cy[:, :-1] * cy[:, 1:] + cz[:, :-1] * cz[:, 1:]
+    x1, y1, z1 = cx[:-1, :-1], cy[:-1, :-1], cz[:-1, :-1]
+    x3, y3, z3 = cx[1:, 1:], cy[1:, 1:], cz[1:, 1:]
+    d13 = x1 * x3 + y1 * y3 + z1 * z3
+    xx, xy, xz = y1 * z3 - z1 * y3, z1 * x3 - x1 * z3, x1 * y3 - y1 * x3
+    num1 = -(cx[1:, :-1] * xx + cy[1:, :-1] * xy + cz[1:, :-1] * xz)
+    num2 = cx[:-1, 1:] * xx + cy[:-1, 1:] * xy + cz[:-1, 1:] * xz
+    den1 = 1.0 + along_a[:, :-1] + along_b[1:] + d13
+    den2 = 1.0 + d13 + along_a[:, 1:] + along_b[:-1]
+    return float((np.arctan2(num1, den1) + np.arctan2(num2, den2)).sum())
+
+
+def _fan_terms(c, axis, sign):
+    """arctan2 halves of the solid angles of the fan triangles (n, u, v), for
+    n = sign * e_axis and consecutive unit chords u, v along the first axis of
+    the component arrays c (3, m + 1, lines): an (m, lines) array."""
+    u, v = c[:, :-1], c[:, 1:]
+    k1, k2 = (axis + 1) % 3, (axis + 2) % 3
+    num = u[k1] * v[k2] - u[k2] * v[k1]
+    den = u[axis] + v[axis]
+    if sign < 0:
+        num, den = -num, -den
+    den += 1.0
+    den += u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    return np.arctan2(num, den)
+
+
+def _separated_sum(p, qt, sa, sb, pairs, axis, sign):
+    """Gauss sum, as arctan2 halves, of the block pairs whose boxes are
+    separated along an axis, from the boundaries of their (i, j) rectangles.
+
+    Every chord of pair (I, J) has n.c > 0 for n = sign * e_axis, so its
+    quadrilaterals lie in the open hemisphere around n, where each one's solid
+    angle is the sum of the fan triangles (n, u, v) along its boundary
+    (Stokes' theorem on the sphere).  Inside the rectangle the fan terms
+    cancel in pairs, which leaves its boundary: along a at the first and last
+    columns of block J, along b at the first and last rows of block I.  Those
+    lines are the block bounds, so each line's terms are summed per block of
+    the curve it follows and every pair gathers four block sums."""
+    row_bounds = np.append(sa, len(p) - 1)  # first vertex of each block of a, and the last
+    col_bounds = np.append(sb, qt.shape[1] - 1)
+    cx, cy, cz, dist = _chords(p, qt[:, col_bounds])  # along a at every column bound
+    on_a = np.stack([cx, cy, cz]) / dist
+    cx, cy, cz, dist = _chords(p[row_bounds], qt)  # along b at every row bound
+    on_b = (np.stack([cx, cy, cz]) / dist).transpose(0, 2, 1)
+    i, j = pairs
+    total = 0.0
+    for k, s in sorted(set(zip(axis.tolist(), sign.tolist()))):
+        sel = (axis == k) & (sign == s)
+        fa = np.add.reduceat(_fan_terms(on_a, k, s), sa, axis=0)  # (blocks of a, column bounds)
+        fb = np.add.reduceat(_fan_terms(on_b, k, s), sb, axis=0)  # (blocks of b, row bounds)
+        ii, jj = i[sel], j[sel]
+        total += float((fa[ii, jj] + fb[jj, ii + 1] - fa[ii, jj + 1] - fb[jj, ii]).sum())
+    return total
+
+
 def gauss_linking_sum(a, b, tol_sep=0.0):
     """Raw Gauss double sum over segment pairs (the pre-rounding real value).
 
     Each segment pair contributes the exact signed area its chord-direction
     map sweeps on the unit sphere; the total divided by 4*pi is the linking
-    number for disjoint closed curves.  The chord lengths are the vertex
-    distances, so the same pass returns the smallest of them as the
-    ``separation`` of the returned ``GaussSum``.
+    number for disjoint closed curves.  Both curves are cut into blocks of
+    ``_GAUSS_BLOCK`` segments.  A block pair whose bounding boxes touch on
+    every axis is summed in one fused array pass over its chords, two
+    triangles per segment pair.  A block pair whose boxes are strictly
+    separated along an axis is summed from the boundary of its rectangle of
+    chords, one fan triangle per boundary segment (``_separated_sum``): the
+    same sum from 2(|R| + |C|) terms in place of 2|R||C|.
+
+    The fused passes measure their chord lengths, which are the vertex
+    distances.  A separated pair is measured only when its box distance, a
+    lower bound of each of its vertex distances as computed, lies below the
+    smallest distance found so far, so the ``separation`` of the returned
+    ``GaussSum`` is the exact smallest vertex distance.
 
     Raises
     ------
     CurvesTooClose
-        If a vertex of a lies within tol_sep of a vertex of b.
+        If a vertex of a lies within tol_sep of a vertex of b, or on one.
     """
-    # chords from vertices of a to every vertex of b, with the first vertex of
-    # each repeated at its end, as three contiguous component arrays.  The
-    # corners of the quadrilateral of segment pair (i, j) are the unit chords
-    # c1 = [i, j], c2 = [i+1, j], c3 = [i+1, j+1] and c4 = [i, j+1], so the
-    # dot products of neighbouring chords along a (c1.c2, c4.c3) and along b
-    # (c1.c4, c2.c3) are each one array shared by adjacent quads.  One cross
-    # product X = c1 x c3 gives both triple products: c1.(c2 x c3) = -c2.X and
-    # c1.(c3 x c4) = c4.X.  Rows of a go in blocks, which bounds the
-    # temporaries; the block sums are added in one fixed order.
     p = np.vstack([a.vertices, a.vertices[:1]])
-    q = np.vstack([b.vertices, b.vertices[:1]]).T.copy()
+    qt = np.vstack([b.vertices, b.vertices[:1]]).T.copy()
+    sa = np.arange(0, len(a), _GAUSS_BLOCK)
+    sb = np.arange(0, len(b), _GAUSS_BLOCK)
+    lo_a, hi_a = _block_boxes(p, sa)
+    lo_b, hi_b = _block_boxes(qt.T, sb)
+    # (blocks of a, blocks of b, 3): chord components exceed `up`, or lie
+    # below -`down`; a positive gap on some axis separates the two boxes
+    up = lo_b - hi_a[:, None]
+    down = lo_a[:, None] - hi_b
+    gap = np.maximum(up, down)
+    separated = gap.max(axis=-1) > 0
+
+    rows = [p[s:s + _GAUSS_BLOCK + 1] for s in sa]
+    cols = [qt[:, s:s + _GAUSS_BLOCK + 1] for s in sb]
+
     total, dmin = 0.0, np.inf
-    for i in range(0, len(a), _GAUSS_ROWS):
-        rows = p[i:i + _GAUSS_ROWS + 1, :, None]
-        cx, cy, cz = q[0] - rows[:, 0], q[1] - rows[:, 1], q[2] - rows[:, 2]
-        dist = np.sqrt(cx * cx + cy * cy + cz * cz)
+    for i, j in zip(*np.nonzero(~separated)):
+        cx, cy, cz, dist = _chords(rows[i], cols[j])
         dmin = min(dmin, float(dist.min()))
-        if dmin < tol_sep:
+        if dmin < tol_sep or dmin == 0.0:
             continue  # the call raises; only the global minimum is still needed
-        cx /= dist
-        cy /= dist
-        cz /= dist
-        along_a = cx[:-1] * cx[1:] + cy[:-1] * cy[1:] + cz[:-1] * cz[1:]
-        along_b = cx[:, :-1] * cx[:, 1:] + cy[:, :-1] * cy[:, 1:] + cz[:, :-1] * cz[:, 1:]
-        x1, y1, z1 = cx[:-1, :-1], cy[:-1, :-1], cz[:-1, :-1]
-        x3, y3, z3 = cx[1:, 1:], cy[1:, 1:], cz[1:, 1:]
-        d13 = x1 * x3 + y1 * y3 + z1 * z3
-        xx, xy, xz = y1 * z3 - z1 * y3, z1 * x3 - x1 * z3, x1 * y3 - y1 * x3
-        num1 = -(cx[1:, :-1] * xx + cy[1:, :-1] * xy + cz[1:, :-1] * xz)
-        num2 = cx[:-1, 1:] * xx + cy[:-1, 1:] * xy + cz[:-1, 1:] * xz
-        den1 = 1.0 + along_a[:, :-1] + along_b[1:] + d13
-        den2 = 1.0 + d13 + along_a[:, 1:] + along_b[:-1]
-        total += float((np.arctan2(num1, den1) + np.arctan2(num2, den2)).sum())
+        total += _quad_sum(cx, cy, cz, dist)
+
+    # a separated pair's box distance, rounded as a chord length is, bounds
+    # each of its chord lengths from below (every step rounds monotonically),
+    # so pairs are measured in the order of that bound until it reaches dmin
+    pairs = np.nonzero(separated)
+    g = np.maximum(gap[pairs], 0.0)
+    bound = np.sqrt(g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1] + g[:, 2] * g[:, 2])
+    for k in np.argsort(bound, kind="stable"):
+        if bound[k] >= dmin:
+            break
+        *_, dist = _chords(rows[pairs[0][k]], cols[pairs[1][k]])
+        dmin = min(dmin, float(dist.min()))
     if dmin < tol_sep:
         raise CurvesTooClose(f"curves approach to {dmin:.2e} < tol_sep={tol_sep:g}")
+    if dmin == 0.0:
+        raise CurvesTooClose("the curves share a vertex")
+    if len(bound):
+        axis = gap[pairs].argmax(axis=-1)  # the widest gap picks the hemisphere
+        sign = np.where(up[(*pairs, axis)] > 0, 1, -1)
+        total += _separated_sum(p, qt, sa, sb, pairs, axis, sign)
     # each triangle's solid angle is twice its arctan2
     return GaussSum(total / TWO_PI, dmin)
 

@@ -18,6 +18,7 @@ from hopfsim.errors import (
 )
 from hopfsim.model import HopfParams, bloch_ground
 from hopfsim.preimage import (
+    _GAUSS_BLOCK,
     _LEVEL_NUDGE,
     Polyline,
     _bloch_grid,
@@ -607,7 +608,8 @@ def _random_closed_pair(seed, na, nb):
     return a, b
 
 
-# 3 to 200 vertices crosses the _GAUSS_ROWS block boundary of the first curve
+# 3 to 200 vertices puts up to four _GAUSS_BLOCK blocks on each curve, so the
+# random walks mix block pairs summed as quadrilaterals and as separated pairs
 _polyline_pairs = dict(
     seed=st.integers(0, 2**32 - 1), na=st.integers(3, 200), nb=st.integers(3, 200)
 )
@@ -632,6 +634,78 @@ def test_curves_too_close_exactly_below_tol_sep(seed, na, nb, scale):
             gauss_linking_number(a, b, tol_sep=tol)
     else:
         assert gauss_linking_number(a, b, tol_sep=tol).separation == brute
+
+
+def _torus_knot(p, q, m, big=2.0, small=0.8):
+    t = np.linspace(0, TWO_PI, m, endpoint=False)
+    r = big + small * np.cos(q * t)
+    return np.stack([r * np.cos(p * t), r * np.sin(p * t), small * np.sin(q * t)], axis=1)
+
+
+def _ring(m, radius=1.0, center=(0, 0, 0), normal="z"):
+    return circle(radius, center, normal, m).vertices
+
+
+# long smooth closed curves, each of at least two _GAUSS_BLOCK blocks, and
+# their linking numbers
+_SMOOTH_PAIRS = {
+    "hopf link": (_ring(150), _ring(170, center=(1, 0, 0), normal="y"), 1),
+    "trefoil and its core": (_torus_knot(2, 3, 300), _ring(140, radius=2.0), 3),
+    "unlinked rings": (_ring(160), _ring(130, center=(2.5, 0, 0), normal="y"), 0),
+    "distant rings": (_ring(140), _ring(180, center=(0, 5, 0), normal="y"), 0),
+}
+
+
+def _rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] *= -1.0
+    return q
+
+
+def test_separated_block_pairs_match_four_chord_formula(monkeypatch):
+    normals, quad_calls = set(), []
+    fan_terms, quad_sum = preimage._fan_terms, preimage._quad_sum
+
+    def spy_fan(c, axis, sign):
+        normals.add((axis, sign))
+        return fan_terms(c, axis, sign)
+
+    def spy_quad(*args):
+        quad_calls.append(args[0].shape)
+        return quad_sum(*args)
+
+    monkeypatch.setattr(preimage, "_fan_terms", spy_fan)
+    monkeypatch.setattr(preimage, "_quad_sum", spy_quad)
+    rng = np.random.default_rng(17)
+    for name, (va, vb, lk) in _SMOOTH_PAIRS.items():
+        assert min(len(va), len(vb)) > _GAUSS_BLOCK
+        for _ in range(8):
+            rot = _rotation(rng)
+            shift = rng.normal(size=3)
+            a = Polyline(va @ rot.T + shift, "R3")
+            b = Polyline(vb @ rot.T + shift, "R3")
+            quad_calls.clear()
+            raw = gauss_linking_sum(a, b)
+            assert abs(raw - _four_chord_gauss_sum(a, b)) <= 1e-12, name
+            assert abs(round(raw)) == lk, name
+            brute = np.sqrt(((a.vertices[:, None, :] - b.vertices[None, :, :]) ** 2).sum(-1)).min()
+            assert raw.separation == brute, name
+            if name == "distant rings":
+                assert quad_calls == []  # every block pair is separated
+    # random rotations reach both hemispheres of every axis
+    assert normals == {(k, s) for k in range(3) for s in (1, -1)}
+
+
+def test_curves_sharing_a_vertex_are_too_close_at_any_tol_sep():
+    square = Polyline([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], "R3")
+    triangle = Polyline([[1, 0, 0], [2, 0, 1], [2, 0, -1]], "R3")
+    for tol_sep in (0.0, -1.0, preimage.TOL_SEP):
+        with pytest.raises(CurvesTooClose):
+            linking_number(square, triangle, tol_sep=tol_sep)
+        with pytest.raises(CurvesTooClose):
+            gauss_linking_sum(triangle, square, tol_sep)
 
 
 def test_linking_t3_matches_r3_route_in_single_cover_phase():
