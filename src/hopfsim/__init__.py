@@ -8,7 +8,6 @@ from .preimage import (
     embed_r3,
     epsilon_neighborhood,
     link_matrix,
-    linking_number,
     linking_number_t3,
     preimage_contours,
 )

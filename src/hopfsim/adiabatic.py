@@ -114,8 +114,8 @@ class RampSchedule:
     """Piecewise-linear control waveform (|Omega|, phi, Delta) for one passage.
 
     Three equal segments: transverse ramp-up at fixed detuning, detuning ramp,
-    transverse ramp-down to the target; phi is constant throughout.  Samples
-    live on a uniform grid at ``sample_dt`` spacing (materialized on demand).
+    transverse ramp-down to the target; phi is constant throughout.  The
+    passage is integrated on a uniform grid at ``sample_dt`` spacing.
     """
 
     phi: float
@@ -130,20 +130,11 @@ class RampSchedule:
     def duration(self):
         return 3.0 * self.segment_duration
 
-    @property
-    def boundaries(self):
-        return (self.segment_duration, 2.0 * self.segment_duration)
-
     def controls(self, t):
         """(|Omega|, phi, Delta) at times t (piecewise-linear interpolation)."""
         om, de = _waveform(t, self.segment_duration, self.omega_peak, self.omega_final,
                            self.delta_start, self.delta_final, _Workspace())
         return om[()], np.full_like(om, self.phi), de[()]  # a scalar t gives scalars
-
-    def samples(self):
-        """Control tuples on the uniform sample grid, (t, |Omega|, phi, Delta)."""
-        t = np.arange(_bounds(self.segment_duration, self.sample_dt)[2] + 1) * self.sample_dt
-        return (t, *self.controls(t))
 
 
 def build_schedule(k, params, segment_duration=SEGMENT_DURATION):
@@ -378,9 +369,10 @@ def _draw(bloch, n, keys):
     """Successes (m, 3) of n (3,) shots in the bases of ``BASES`` for Bloch
     vectors (m, 3), row j on the Philox stream keyed by keys[j]."""
     successes = np.empty(bloch.shape, dtype=np.int64)
-    for j, (key, p) in enumerate(zip(keys, np.clip((1.0 + bloch) / 2.0, 0.0, 1.0).tolist())):
+    n = np.asarray(n, dtype=np.int64)
+    for j, (key, p) in enumerate(zip(keys, np.clip((1.0 + bloch) / 2.0, 0.0, 1.0))):
         rng = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
-        successes[j] = [rng.binomial(nb, pb) for nb, pb in zip(n, p)]
+        successes[j] = rng.binomial(n, p)
     return successes
 
 

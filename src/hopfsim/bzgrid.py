@@ -30,12 +30,10 @@ class MeshSpec:
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"mesh size n must be an integer, got {self.n!r}")
         if self.n < 4:
             raise ValueError(f"mesh needs n >= 4, got {self.n}")
-
-    @property
-    def spacing(self):
-        return 2.0 * np.pi / self.n
 
     def points(self):
         """All mesh momenta, shape (n, n, n, 3), indexed [jx, jy, jz]."""
@@ -128,10 +126,6 @@ class StateField:
     @property
     def n(self):
         return self.mesh.n
-
-    def site_state(self, site):
-        jx, jy, jz = site
-        return self.data[jx, jy, jz]
 
     def pure_states(self):
         """Per-site pure spinors; for density matrices, the dominant eigenvector."""

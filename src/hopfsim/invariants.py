@@ -334,13 +334,13 @@ class ScalingRow:
     deviation: float
 
 
-def scaling_study(h, ns, omega=1.0):
+def scaling_study(h, ns):
     """Hopf index vs mesh size, with deviations from the ideal value.
 
     Returns rows sorted by n; the reference value comes from the phase
     diagram, not from extrapolation.
     """
-    params = HopfParams(h, omega)
+    params = HopfParams(h)
     target = chi_infinity(h)
     rows = []
     for n in sorted(ns):

@@ -26,8 +26,6 @@ GAP_TOL = 1e-12
 POLE_DELTA = 1e-9
 H_MAX = 1e75  # |u(k)|^2 ~ h^4 overflows a float beyond about |h| = 1e77
 
-TRANSITION_VALUES = (-3.0, -1.0, 1.0, 3.0)
-
 
 @dataclass(frozen=True)
 class HopfParams:
@@ -226,7 +224,7 @@ def hopf_f(eta_up, eta_down):
     return u
 
 
-def stereographic_embed(eta, chart="plus", delta_pole=POLE_DELTA):
+def stereographic_embed(eta, chart="plus"):
     """Stereographic chart of S3 onto R3.
 
     chart "plus" maps (e1, e2, e3, e4) -> (e1, e2, e3) / (1 + e4) and is
@@ -237,7 +235,7 @@ def stereographic_embed(eta, chart="plus", delta_pole=POLE_DELTA):
     Raises
     ------
     PoleSingular
-        If any point comes within delta_pole of the active chart's pole.
+        If any point comes within POLE_DELTA of the active chart's pole.
     """
     eta = np.asarray(eta, dtype=float)
     e4 = eta[..., 3]
@@ -250,9 +248,9 @@ def stereographic_embed(eta, chart="plus", delta_pole=POLE_DELTA):
         out[..., 2] = -out[..., 2]
     else:
         raise ValueError(f"unknown chart {chart!r}; expected 'plus' or 'minus'")
-    if np.any(denom <= delta_pole):
+    if np.any(denom <= POLE_DELTA):
         raise PoleSingular(
-            f"point within {delta_pole:g} of the {chart} chart pole; "
+            f"point within {POLE_DELTA:g} of the {chart} chart pole; "
             "re-project from the antipodal chart"
         )
     return out / denom[..., None]

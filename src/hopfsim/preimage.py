@@ -56,7 +56,7 @@ class Polyline:
     """Oriented curve; closed polylines do not repeat the first vertex."""
 
     vertices: np.ndarray
-    coords: str = "T3"  # one of T3, S3, R3
+    coords: str = "T3"  # T3 or R3
     closed: bool = True
     target: tuple | None = None
     h: float | None = None
@@ -66,7 +66,7 @@ class Polyline:
         self.vertices = np.asarray(self.vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise ValueError(f"vertices must be (m, 3), got {self.vertices.shape}")
-        if self.coords not in ("T3", "S3", "R3"):
+        if self.coords not in ("T3", "R3"):
             raise ValueError(f"unknown coordinate system {self.coords!r}")
         if self.closed and len(self.vertices) < 3:
             raise ValueError("closed polylines need at least 3 vertices")
@@ -78,26 +78,6 @@ class Polyline:
 
     def __len__(self):
         return len(self.vertices)
-
-    def reversed(self):
-        return Polyline(
-            self.vertices[::-1].copy(), self.coords, self.closed,
-            self.target, self.h, self.chart,
-        )
-
-    def subdivided(self):
-        """Insert the midpoint of every edge (wrap-aware on the torus)."""
-        v = self.vertices
-        nxt = np.roll(v, -1, axis=0) if self.closed else v[1:]
-        cur = v if self.closed else v[:-1]
-        delta = nxt - cur
-        if self.coords == "T3":
-            delta = (delta + np.pi) % TWO_PI - np.pi
-        mids = cur + 0.5 * delta
-        out = np.empty((len(cur) + len(v), 3))
-        out[0::2] = v
-        out[1::2] = mids
-        return Polyline(out, self.coords, self.closed, self.target, self.h, self.chart)
 
 
 def polyline_to_dict(c):
@@ -189,8 +169,10 @@ def _tet_edge_table():
 _TET_EDGES, _TET_FACES = _tet_edge_table()
 
 
-def preimage_contours(params, target, res=64, refine=1):
+def preimage_contours(params, target, res=64):
     """Closed preimage loops of a spin target, as T3 polylines.
+
+    The marched vertices are pulled onto the exact curve by one Newton pass.
 
     Parameters
     ----------
@@ -198,8 +180,6 @@ def preimage_contours(params, target, res=64, refine=1):
     target : unit 3-vector
     res : int
         Cells per axis of the marching grid, 16 to 256 (about 0.8 GB at 256).
-    refine : int
-        Newton projection passes pulling the vertices onto the exact curve.
 
     Returns
     -------
@@ -210,6 +190,8 @@ def preimage_contours(params, target, res=64, refine=1):
     ResolutionTooCoarse
         If extracted curve segments cannot be chained into closed loops.
     """
+    if not isinstance(res, (int, np.integer)):
+        raise ValueError(f"res must be an integer, got {res!r}")
     if not 16 <= res <= 256:
         raise ValueError(f"res must be in [16, 256], got {res}")
     s = _unit_target(target)
@@ -230,14 +212,12 @@ def preimage_contours(params, target, res=64, refine=1):
         # keep the hemisphere that agrees with the target's dominant component
         if np.median(n_here[:, axis]) * s[axis] <= 0:
             continue
-        for _ in range(max(0, refine)):
-            kverts = _project_to_curve(kverts, s, params)
-        kverts = _dedupe(np.mod(kverts, TWO_PI))
+        # one Newton pass onto the exact curve, from the residual just sampled
+        inverse = np.linalg.pinv(_spin_jacobian(kverts, params), rcond=1e-8)
+        kverts = _dedupe(np.mod(kverts + np.einsum("mij,mj->mi", inverse, s - n_here), TWO_PI))
         if len(kverts) < 3:
             continue
-        out.append(
-            _orient(Polyline(kverts, "T3", True, tuple(s), params.h), s, params)
-        )
+        out.append(Polyline(_orient(kverts, s, params), "T3", True, tuple(s), params.h))
     out.sort(key=lambda c: c.vertices[:, 0].min())
     return out
 
@@ -385,33 +365,24 @@ def _spin_jacobian(k, params, step=1e-6):
     return jac
 
 
-def _project_to_curve(k, s, params):
-    jac = _spin_jacobian(k, params)
-    resid = s[None, :] - model.bloch_ground(k, params)
-    dk = np.einsum("mij,mj->mi", np.linalg.pinv(jac, rcond=1e-8), resid)
-    return k + dk
-
-
-def _orient(c, s, params):
-    """Fix loop orientation from the pullback of a tangent frame at the target.
-
-    e1', e2' span the tangent plane at s (azimuthal rotation from e1' toward
-    e2'); the curve tangent is aligned with grad(S.e1') x grad(S.e2')."""
+def _orient(verts, s, params):
+    """A loop's vertices (m, 3), reversed if need be so that the curve tangent
+    is aligned with grad(S.e1') x grad(S.e2'), the pullback of a tangent frame
+    at the target: e1', e2' span the tangent plane at s (azimuthal rotation
+    from e1' toward e2')."""
     w = np.zeros(3)
     w[int(np.argmin(np.abs(s)))] = 1.0
     e1p = w - np.dot(w, s) * s
     e1p /= np.linalg.norm(e1p)
     e2p = np.cross(s, e1p)
 
-    jac = _spin_jacobian(c.vertices, params)
+    jac = _spin_jacobian(verts, params)
     g1 = np.einsum("mij,i->mj", jac, e1p)
     g2 = np.einsum("mij,i->mj", jac, e2p)
     t_ref = np.cross(g1, g2)
-    delta = np.roll(c.vertices, -1, axis=0) - c.vertices
+    delta = np.roll(verts, -1, axis=0) - verts
     delta = (delta + np.pi) % TWO_PI - np.pi
-    if np.sum(delta * t_ref) < 0:
-        return c.reversed()
-    return c
+    return verts[::-1] if np.sum(delta * t_ref) < 0 else verts
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +406,7 @@ def epsilon_neighborhood(f, target, epsilon):
 # ---------------------------------------------------------------------------
 # embedding T3 -> S3 -> R3
 
-def embed_r3(c, params, chart="auto", delta_pole=model.POLE_DELTA):
+def embed_r3(c, params, chart="auto"):
     """Embed a closed T3 polyline in R3 via the S3 map and a stereographic chart.
 
     With ``chart="auto"`` the chart with the larger pole clearance is used;
@@ -445,8 +416,8 @@ def embed_r3(c, params, chart="auto", delta_pole=model.POLE_DELTA):
     Raises
     ------
     ChartExhausted
-        If the curve passes within delta_pole of the given chart's pole, or
-        of both poles for ``chart="auto"``.
+        If the curve passes within ``model.POLE_DELTA`` of the given chart's
+        pole, or of both poles for ``chart="auto"``.
     ValueError
         If ``chart`` is not "auto", "plus" or "minus".
     """
@@ -460,10 +431,10 @@ def embed_r3(c, params, chart="auto", delta_pole=model.POLE_DELTA):
     eta = model.map_g(c.vertices, params)
     clearance = {"plus": 1.0 + eta[:, 3].min(), "minus": 1.0 - eta[:, 3].max()}
     use = max(clearance, key=clearance.get) if chart == "auto" else chart
-    if clearance[use] <= delta_pole:
+    if clearance[use] <= model.POLE_DELTA:
         poles = "both stereographic poles" if chart == "auto" else f"the {use} chart pole"
-        raise ChartExhausted(f"curve passes within {delta_pole:g} of {poles}")
-    verts = model.stereographic_embed(eta, chart=use, delta_pole=delta_pole)
+        raise ChartExhausted(f"curve passes within {model.POLE_DELTA:g} of {poles}")
+    verts = model.stereographic_embed(eta, chart=use)
     return Polyline(verts, "R3", True, c.target, c.h, chart=use)
 
 
@@ -674,11 +645,6 @@ def gauss_linking_number(a, b, tol_sep=TOL_SEP):
     raw = gauss_linking_sum(a, b, tol_sep)
     value = int(np.rint(raw))
     return LinkingNumber(value, raw - value, raw.separation)
-
-
-def linking_number(a, b, tol_sep=TOL_SEP):
-    """Integer Gauss linking number (see gauss_linking_number)."""
-    return gauss_linking_number(a, b, tol_sep).value
 
 
 def unwrap_t3(c):

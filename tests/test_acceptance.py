@@ -23,8 +23,8 @@ from hopfsim.model import HopfParams, eta_of_k, ground_state, hopf_f, u_of_k
 from hopfsim.preimage import (
     Polyline,
     epsilon_neighborhood,
+    gauss_linking_number,
     link_matrix,
-    linking_number,
     preimage_contours,
 )
 
@@ -278,18 +278,21 @@ def test_criterion_10_oracle_suite():
     t = np.linspace(0, 2 * np.pi, 90, endpoint=False)
     a = Polyline(np.stack([np.cos(t), np.sin(t), 0 * t], 1), "R3")
     b = Polyline(np.stack([1 + np.cos(t), 0 * t, np.sin(t)], 1), "R3")
-    base = linking_number(a, b)
+    halves = np.stack([a.vertices, (a.vertices + np.roll(a.vertices, -1, axis=0)) / 2], 1)
+    a2 = Polyline(halves.reshape(-1, 3), "R3")  # a with every edge's midpoint inserted
+    ra, rb = Polyline(a.vertices[::-1], "R3"), Polyline(b.vertices[::-1], "R3")
+    base = gauss_linking_number(a, b).value
     th = 0.9
     rot = np.array(
         [[1, 0, 0], [0, np.cos(th), -np.sin(th)], [0, np.sin(th), np.cos(th)]]
     )
     link_ok = (
         abs(base) == 1
-        and linking_number(a.subdivided(), b) == base
-        and linking_number(Polyline(a.vertices @ rot.T, "R3"),
-                           Polyline(b.vertices @ rot.T, "R3")) == base
-        and linking_number(a.reversed(), b.reversed()) == base
-        and linking_number(a.reversed(), b) == -base
+        and gauss_linking_number(a2, b).value == base
+        and gauss_linking_number(Polyline(a.vertices @ rot.T, "R3"),
+                                 Polyline(b.vertices @ rot.T, "R3")).value == base
+        and gauss_linking_number(ra, rb).value == base
+        and gauss_linking_number(ra, b).value == -base
     )
 
     # integrator step-halving

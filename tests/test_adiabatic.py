@@ -57,14 +57,14 @@ def evolved_from_zero(schedules):
 
 def test_schedule_start_and_boundaries():
     s = build_schedule(K_TYPICAL, P2)
-    t, om, ph, de = s.samples()
-    assert om[0] == 0.0
-    assert de[0] == pytest.approx(-OMEGA_MAX)
-    assert s.boundaries == (500e-9, 1000e-9)
+    om, ph, de = s.controls(0.0)
+    assert om == 0.0
+    assert de == pytest.approx(-OMEGA_MAX)
+    b1, b2 = s.segment_duration, 2 * s.segment_duration
+    assert (b1, b2) == (500e-9, 1000e-9)
     assert s.duration == pytest.approx(1.5e-6)
-    assert t[1] - t[0] == pytest.approx(0.125e-9)
+    assert s.sample_dt == pytest.approx(0.125e-9)
     # segment structure: transverse up, then detuning ramp, then transverse down
-    b1, b2 = s.boundaries
     om_b1, _, de_b1 = s.controls(b1)
     om_b2, _, de_b2 = s.controls(b2)
     assert om_b1 == pytest.approx(OMEGA_MAX) and de_b1 == pytest.approx(-OMEGA_MAX)
@@ -319,9 +319,6 @@ def test_bad_step_sizes_raise_value_error(segment_duration, dt, match):
         propagator(s, dt)
     with pytest.raises(ValueError, match=match):
         evolve(s, [1, 0], dt)
-    if dt is None:
-        with pytest.raises(ValueError, match=match):
-            s.samples()
     with pytest.raises(ValueError, match=match):
         _propagators(np.array([s.omega_final]), np.array([s.delta_final]), segment_duration,
                      s.sample_dt if dt is None else dt)
@@ -530,7 +527,7 @@ def test_campaign_collects_site_failures_and_continues():
     d = result.stats.to_dict()
     assert sum(x is None for x in d["per_site"]) == 3
     np.testing.assert_allclose(
-        result.field.site_state((0, 2, 2)), np.eye(2) / 2, atol=1e-12
+        result.field.data[0, 2, 2], np.eye(2) / 2, atol=1e-12
     )
 
 
@@ -589,7 +586,7 @@ def test_campaign_matches_per_site_route_and_counts_boundary_share(h, n, photons
         psi = evolve(build_schedule(k, params), [1, 0])
         rec = simulate_measurements(psi, photons, seed=(seed, index))
         res = mle_tomography(rec, reference=ground_state(k, params))
-        np.testing.assert_allclose(result.field.site_state(site), res.rho, rtol=0, atol=0)
+        np.testing.assert_allclose(result.field.data[site], res.rho, rtol=0, atol=0)
         assert result.stats.per_site[site] == res.fidelity
         on_sphere.append(res.iterations > 0)
     assert len(on_sphere) == gapped and 0 < sum(on_sphere) < gapped

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,21 @@ from hopfsim.model import HopfParams
 
 def test_mesh_spec():
     m = MeshSpec(10)
-    assert m.spacing == pytest.approx(2 * np.pi / 10)
     pts = m.points()
+    assert pts[1, 0, 0, 0] - pts[0, 0, 0, 0] == pytest.approx(2 * np.pi / 10)
     assert pts.shape == (10, 10, 10, 3)
     np.testing.assert_allclose(pts[1, 2, 3], 2 * np.pi * np.array([1, 2, 3]) / 10)
     with pytest.raises(ValueError):
         MeshSpec(3)
+    assert MeshSpec(np.int64(10)).points().shape == (10, 10, 10, 3)
+
+
+@pytest.mark.parametrize("n", [10.5, 10.0, np.float64(8.0), "10"])
+def test_mesh_spec_refuses_non_integer_sizes(n):
+    # MeshSpec(10.5) used to build an 11^3 grid; MeshSpec(10.0) sampled a field
+    # whose hopf_index then ended in a TypeError
+    with pytest.raises(ValueError, match=re.escape(f"mesh size n must be an integer, got {n!r}")):
+        MeshSpec(n)
 
 
 def test_sample_state_field_examples():
@@ -27,7 +38,7 @@ def test_sample_state_field_examples():
     assert f.kind == "spinor" and f.provenance == "analytic"
     norms = np.linalg.norm(f.data, axis=-1)
     assert np.abs(norms - 1).max() < 1e-12
-    np.testing.assert_allclose(f.site_state((0, 0, 0)), [1, 0], atol=1e-12)
+    np.testing.assert_allclose(f.data[0, 0, 0], [1, 0], atol=1e-12)
 
 
 def test_sample_state_field_gapless():

@@ -31,7 +31,6 @@ from hopfsim.preimage import (
     gauss_linking_number,
     gauss_linking_sum,
     link_matrix,
-    linking_number,
     linking_number_t3,
     polyline_from_dict,
     polyline_to_dict,
@@ -57,6 +56,16 @@ def hopf_link_pair():
     return a, b
 
 
+def subdivided(c):
+    """The closed R3 polyline with the midpoint of every edge inserted."""
+    v = c.vertices
+    return Polyline(np.stack([v, (v + np.roll(v, -1, axis=0)) / 2], axis=1).reshape(-1, 3), "R3")
+
+
+def reverse(c):
+    return Polyline(c.vertices[::-1], c.coords)
+
+
 # ---------------------------------------------------------------------------
 # polyline container
 
@@ -67,6 +76,8 @@ def test_polyline_validation():
         Polyline([[0, 0, 0], [0, 0, 0], [1, 1, 1]], "R3")
     with pytest.raises(ValueError):
         Polyline(np.zeros((4, 2)), "R3")
+    with pytest.raises(ValueError, match="unknown coordinate system 'S3'"):
+        Polyline([[0, 0, 0], [1, 0, 0], [0, 1, 0]], "S3")
     c = Polyline([[0, 0, 0], [1, 0, 0], [0, 1, 0]], "T3")
     assert len(c) == 3 and c.closed
 
@@ -83,13 +94,6 @@ def test_polyline_json_roundtrip():
     b = polyline_from_dict(polyline_to_dict(a))
     assert np.array_equal(a.vertices, b.vertices)
     assert b.coords == "R3" and b.closed and b.target == (1.0, 0.0, 0.0) and b.h == 2.9
-
-
-def test_subdivided_preserves_shape():
-    a = circle(m=20)
-    s = a.subdivided()
-    assert len(s) == 40
-    np.testing.assert_array_equal(s.vertices[0::2], a.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +340,41 @@ def test_preimage_res_validation(monkeypatch):
         preimage_contours(HopfParams(2.1), (1, 0, 0), res=257)
 
 
+@pytest.mark.parametrize("res", [64.0, 32.5, np.float64(32.0), "32"])
+def test_preimage_contours_refuses_non_integer_res(res):
+    # a float res used to end in a TypeError inside the marching
+    with pytest.raises(ValueError, match=re.escape(f"res must be an integer, got {res!r}")):
+        preimage_contours(HopfParams(2.9), (1, 0, 0), res=res)
+
+
+@pytest.mark.parametrize("res", [32.5, 32.0])
+def test_link_matrix_refuses_non_integer_res(res):
+    with pytest.raises(ValueError, match=re.escape(f"res must be an integer, got {res!r}")):
+        link_matrix(HopfParams(2.9), [(1, 0, 0), (0, 1, 0)], res=res)
+
+
+def test_numpy_integer_res_is_accepted():
+    lm = link_matrix(HopfParams(2.9), [(1, 0, 0), (0, 1, 0)], res=np.int64(32))
+    assert lm.to_dict() == link_matrix(HopfParams(2.9), [(1, 0, 0), (0, 1, 0)], res=32).to_dict()
+
+
+@pytest.mark.parametrize("h, target", [(2.9, (1, 0, 0)), (0.0, (0, 1, 0)), (-2.0, (0, 0, 1))])
+def test_preimage_contours_samples_each_vertex_array_once(monkeypatch, h, target):
+    batches = []
+    original = model.bloch_ground
+
+    def recording(k, params):
+        k = np.asarray(k)
+        batches.append((k.shape, k.tobytes()))
+        return original(k, params)
+
+    monkeypatch.setattr(model, "bloch_ground", recording)
+    loops = preimage_contours(HopfParams(h), target, res=32)
+    assert loops and len(batches) >= 13 * len(loops)
+    repeated = len(batches) - len(set(batches))
+    assert repeated == 0
+
+
 @pytest.mark.parametrize("target", [(np.nan, 0, 0), (0, np.inf, 0), (np.nan,) * 3])
 def test_non_finite_targets_are_refused(target):
     # a NaN fails the unit-norm comparison too, so only a finiteness check
@@ -443,7 +482,7 @@ def test_canonical_hopf_link():
 def test_side_by_side_circles_unlinked():
     a = circle()
     b = circle(center=(3, 0, 0))
-    assert linking_number(a, b) == 0
+    assert gauss_linking_number(a, b).value == 0
 
 
 def test_linking_against_numerical_gauss_integral():
@@ -460,9 +499,9 @@ def test_linking_against_numerical_gauss_integral():
 
 def test_linking_invariances():
     a, b = hopf_link_pair()
-    base = linking_number(a, b)
+    base = gauss_linking_number(a, b).value
     # subdivision
-    assert linking_number(a.subdivided(), b.subdivided()) == base
+    assert gauss_linking_number(subdivided(a), subdivided(b)).value == base
     # rigid rotation
     th = 0.7
     rot = np.array(
@@ -470,10 +509,10 @@ def test_linking_invariances():
     )
     ra = Polyline(a.vertices @ rot.T, "R3")
     rb = Polyline(b.vertices @ rot.T, "R3")
-    assert linking_number(ra, rb) == base
+    assert gauss_linking_number(ra, rb).value == base
     # double reversal keeps the sign, single reversal flips it
-    assert linking_number(a.reversed(), b.reversed()) == base
-    assert linking_number(a.reversed(), b) == -base
+    assert gauss_linking_number(reverse(a), reverse(b)).value == base
+    assert gauss_linking_number(reverse(a), b).value == -base
 
 
 def test_linking_rejects_bad_inputs():
@@ -703,7 +742,7 @@ def test_curves_sharing_a_vertex_are_too_close_at_any_tol_sep():
     triangle = Polyline([[1, 0, 0], [2, 0, 1], [2, 0, -1]], "R3")
     for tol_sep in (0.0, -1.0, preimage.TOL_SEP):
         with pytest.raises(CurvesTooClose):
-            linking_number(square, triangle, tol_sep=tol_sep)
+            gauss_linking_number(square, triangle, tol_sep=tol_sep)
         with pytest.raises(CurvesTooClose):
             gauss_linking_sum(triangle, square, tol_sep)
 
