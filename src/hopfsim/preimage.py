@@ -9,11 +9,15 @@ component's sign disambiguating the antipodal solution.  The marching is one
 array pass over every straddling cell x 6 Kuhn tetrahedra, driven by a
 16-row table of cut edges keyed by a tetrahedron's sign pattern; the grid of
 Bloch vectors is sampled once for all targets of a link matrix, from
-separable sin/cos tables (``model.bloch_grid``).  Segments stay arrays up to
-the loops: one sort of the face ids pairs the two segment ends on each face
-(``ResolutionTooCoarse`` if a face holds another number), and the loops are
-the cycles of that pairing.  Loops are embedded in R3 through the S3 map and
-a stereographic chart, where pairwise Gauss linking numbers are evaluated
+separable sin/cos tables (``model.bloch_grid``).  Each segment points along
+sign(s_axis) grad(phi1) x grad(phi2) on its own tetrahedron, phi1 and phi2
+the two level-set functions; on the curve that is the pullback of any
+tangent frame (e1', e2') at s with e1' x e2' = s.  Segments stay arrays up to
+the loops: one sort of the face ids pairs a segment's head with the next
+one's tail on each face (``ResolutionTooCoarse`` if a face holds another
+number of ends, or two heads or two tails), and the loops are the cycles of
+that pairing.  Loops are embedded in R3 through the S3 map and a
+stereographic chart, where pairwise Gauss linking numbers are evaluated
 segment-pair exactly; on the torus they are lifted to the universal cover and
 linked against periodic images, which needs loops that do not wind the torus
 (``WindingLoops`` otherwise).  A Gauss sum cuts both curves into blocks: a
@@ -119,23 +123,12 @@ def _unit_target(s):
 # ---------------------------------------------------------------------------
 # contour extraction
 
-def _kuhn_tets():
-    # six tetrahedra around the cube's main diagonal; the induced face
-    # diagonals match between neighboring cells, which keeps chained curve
-    # segments consistent across cell boundaries
-    eye = np.eye(3, dtype=int)
-    tets = []
-    for p in permutations(range(3)):
-        corners = [(0, 0, 0),
-                   tuple(int(x) for x in eye[p[0]]),
-                   tuple(int(x) for x in eye[p[0]] + eye[p[1]]),
-                   (1, 1, 1)]
-        tets.append(corners)
-    return tets
-
-
-_KUHN_TETS = _kuhn_tets()
-_TET_OFFSETS = np.array(_KUHN_TETS)  # (6 tets, 4 corners, 3)
+# six tetrahedra around the cube's main diagonal, one per permutation p of the
+# axes, stepping from (0, 0, 0) along e_p[0], e_p[1] and e_p[2] to (1, 1, 1);
+# the induced face diagonals match between neighboring cells, which keeps
+# chained curve segments consistent across cell boundaries
+_TET_STEPS = np.eye(3, dtype=int)[list(permutations(range(3)))]  # (6 tets, 3 steps, 3)
+_TET_OFFSETS = np.insert(_TET_STEPS, 0, 0, axis=1).cumsum(axis=1)  # (6 tets, 4 corners, 3)
 _TET_CORNERS = _TET_OFFSETS @ (4, 2, 1)  # cube corner of each: dx * 4 + dy * 2 + dz
 
 
@@ -172,7 +165,7 @@ _TET_EDGES, _TET_FACES = _tet_edge_table()
 def preimage_contours(params, target, res=64):
     """Closed preimage loops of a spin target, as T3 polylines.
 
-    The marched vertices are pulled onto the exact curve by one Newton pass.
+    The marched loops come oriented; one Newton pass pulls them onto the curve.
 
     Parameters
     ----------
@@ -202,7 +195,7 @@ def preimage_contours(params, target, res=64):
     phi1 = bloch[..., e1] - (s[e1] + _LEVEL_NUDGE[0])
     phi2 = bloch[..., e2] - (s[e2] + _LEVEL_NUDGE[1])
 
-    points, faces = _march_segments(phi1, phi2, res)
+    points, faces = _march_segments(phi1, phi2, res, np.sign(s[axis]))
     loops = _chain_segments(points, faces)
 
     out = []
@@ -217,7 +210,7 @@ def preimage_contours(params, target, res=64):
         kverts = _dedupe(np.mod(kverts + np.einsum("mij,mj->mi", inverse, s - n_here), TWO_PI))
         if len(kverts) < 3:
             continue
-        out.append(Polyline(_orient(kverts, s, params), "T3", True, tuple(s), params.h))
+        out.append(Polyline(kverts, "T3", True, tuple(s), params.h))
     out.sort(key=lambda c: c.vertices[:, 0].min())
     return out
 
@@ -233,15 +226,16 @@ def _bloch_grid(params, res):
     return bloch
 
 
-def _march_segments(phi1, phi2, res):
-    """Per-tetrahedron intersection segments of the two level sets.
+def _march_segments(phi1, phi2, res, sign):
+    """Per-tetrahedron intersection segments of the two level sets, oriented.
 
     Returns ``(points, faces)``: ``points[i, side]`` is an end of segment i
     in grid units, shape (m, 2, 3), and ``faces[i, side]`` the sorted global
     ids of the three grid vertices spanning the tetrahedron face holding
     that end, shape (m, 2, 3).  Segments come in cell-major order (cells as
-    ``np.argwhere`` lists them), Kuhn tetrahedra in ``_KUHN_TETS`` order
-    within a cell.
+    ``np.argwhere`` lists them), Kuhn tetrahedra in ``_TET_STEPS`` order
+    within a cell.  Each segment runs from side 0 to side 1 along sign *
+    grad(phi1) x grad(phi2) of the linear interpolants on its tetrahedron.
 
     All straddling cells x 6 tetrahedra are marched as one array pass.  A
     tetrahedron's sign pattern of ``phi1 > 0`` (4 bits) picks its row of
@@ -294,15 +288,25 @@ def _march_segments(phi1, phi2, res):
     point = (p0 + u[:, None] * (pts[j, nxt] - p0)).reshape(-1, 2, 3)
     corners = _TET_CORNERS[tet[j, None], _TET_FACES[key[j], side]]
     faces = np.sort(ids[cell[j, None], corners], axis=1).reshape(-1, 2, 3)
+
+    # corner i + 1 of a tetrahedron is corner i + e_p[i], so a linear
+    # interpolant's gradient has component p[i] equal to their difference
+    steps, r = _TET_STEPS[tet[j[0::2]]], rows[j[0::2]]
+    grad_f, grad_g = (np.einsum("mi,mij->mj", np.diff(v[r]), steps) for v in (f, g))
+    ahead = np.einsum("mi,mi->m", point[:, 1] - point[:, 0], np.cross(grad_f, grad_g))
+    flip = sign * ahead < 0
+    point[flip], faces[flip] = point[flip, ::-1], faces[flip, ::-1]
     return point, faces
 
 
 def _chain_segments(points, faces):
-    """Join segments that share a face into closed vertex loops (grid units).
+    """Join oriented segments that share a face into closed vertex loops
+    (grid units), in the segments' direction.
 
     End e = 2 * segment + side lies on ``faces[segment, side]``; each face
-    must hold two ends, each the other's mate.  A loop enters a segment at
-    end e, leaves at e ^ 1 and enters the next segment at mate[e ^ 1]."""
+    must hold two ends, each the other's mate: a head (side 1) and a tail.
+    A loop enters a segment at its tail e, leaves at its head e ^ 1 and
+    enters the next segment at mate[e ^ 1]."""
     ids = faces.reshape(-1, 3)
     order = np.lexsort(ids.T[::-1])  # ends sorted by face, stable
     srt = ids[order]
@@ -317,6 +321,13 @@ def _chain_segments(points, faces):
         raise ResolutionTooCoarse(
             f"face {tuple(faces[e >> 1, e & 1].tolist())} bounds {count[face[e]]} "
             "curve segments; increase the marching resolution"
+        )
+    clash = np.nonzero((order[0::2] & 1) == (order[1::2] & 1))[0]
+    if len(clash):
+        e = order[2 * clash[0]]
+        raise ResolutionTooCoarse(
+            f"face {tuple(faces[e >> 1, e & 1].tolist())} holds two segment "
+            f"{'heads' if e & 1 else 'tails'}; increase the marching resolution"
         )
     mate = np.empty_like(order)
     mate[order[0::2]], mate[order[1::2]] = order[1::2], order[0::2]
@@ -363,26 +374,6 @@ def _spin_jacobian(k, params, step=1e-6):
             model.bloch_ground(k + dk, params) - model.bloch_ground(k - dk, params)
         ) / (2 * step)
     return jac
-
-
-def _orient(verts, s, params):
-    """A loop's vertices (m, 3), reversed if need be so that the curve tangent
-    is aligned with grad(S.e1') x grad(S.e2'), the pullback of a tangent frame
-    at the target: e1', e2' span the tangent plane at s (azimuthal rotation
-    from e1' toward e2')."""
-    w = np.zeros(3)
-    w[int(np.argmin(np.abs(s)))] = 1.0
-    e1p = w - np.dot(w, s) * s
-    e1p /= np.linalg.norm(e1p)
-    e2p = np.cross(s, e1p)
-
-    jac = _spin_jacobian(verts, params)
-    g1 = np.einsum("mij,i->mj", jac, e1p)
-    g2 = np.einsum("mij,i->mj", jac, e2p)
-    t_ref = np.cross(g1, g2)
-    delta = np.roll(verts, -1, axis=0) - verts
-    delta = (delta + np.pi) % TWO_PI - np.pi
-    return verts[::-1] if np.sum(delta * t_ref) < 0 else verts
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +718,9 @@ class LinkMatrix:
     ``min_separation_cells`` is the smallest vertex distance between linked
     loops over every Gauss sum, in cells of the marching grid (None when no
     Gauss sum was taken); ``max_residual`` the largest distance of a loop
-    pair's raw linking sum from its integer (None when no pair was linked)."""
+    pair's raw linking sum from its integer (None when no pair was linked);
+    ``max_newton_residual`` the largest |S(k) - s| over the vertices of the
+    loops, after their Newton pass (None when no target has a loop)."""
 
     targets: list
     values: list
@@ -735,6 +728,7 @@ class LinkMatrix:
     loops: list = field(default_factory=list)
     min_separation_cells: float | None = None
     max_residual: float | None = None
+    max_newton_residual: float | None = None
 
     @property
     def loop_counts(self):
@@ -748,6 +742,7 @@ class LinkMatrix:
             "loop_counts": self.loop_counts,
             "min_separation_cells": self.min_separation_cells,
             "max_residual": self.max_residual,
+            "max_newton_residual": self.max_newton_residual,
         }
 
 
@@ -760,6 +755,8 @@ def link_matrix(params, targets, res=64):
     targets = [tuple(_unit_target(t)) for t in targets]
     loops_t3 = [preimage_contours(params, t, res=res) for t in targets]
     absent = [i for i, loops in enumerate(loops_t3) if not loops]
+    newton = [float(np.linalg.norm(model.bloch_ground(c.vertices, params) - t, axis=1).max())
+              for t, loops in zip(targets, loops_t3) for c in loops]
 
     m = len(targets)
     values = [[None] * m for _ in range(m)]
@@ -776,4 +773,5 @@ def link_matrix(params, targets, res=64):
         targets=targets, values=values, absent=absent, loops=loops_t3,
         min_separation_cells=separation * res / TWO_PI if np.isfinite(separation) else None,
         max_residual=max(residuals, default=None),
+        max_newton_residual=max(newton, default=None),
     )

@@ -253,6 +253,7 @@ def test_link_artifact(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert abs(doc["linking"][0][1]) == 1 and doc["absent"] == []
     assert doc["min_separation_cells"] > 0 and 0 <= doc["max_residual"] < 1e-6
+    assert 0 < doc["max_newton_residual"] < 0.2
 
 
 def test_link_with_winding_loops_is_a_typed_error(tmp_path, capsys):

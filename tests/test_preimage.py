@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -135,10 +136,11 @@ def test_preimage_closure_mod_2pi():
     assert np.linalg.norm(gap) <= cell
 
 
-def _reference_tet_segment(pos, ids, f, g):
+def _reference_tet_segment(pos, ids, f, g, sign):
     # scalar marching of one tetrahedron: cut the edges {f = 0} crosses, in
     # cycle order around the cut polygon, then join the polygon's two
-    # crossings of {g = 0}
+    # crossings of {g = 0}, pointing along sign * grad(f) x grad(g) of the
+    # linear interpolants, each solved from the tetrahedron's edge vectors
     pos_mask = f > 0
     npos = int(pos_mask.sum())
     if npos in (0, 4):
@@ -171,23 +173,38 @@ def _reference_tet_segment(pos, ids, f, g):
     (p1, f1), (p2, f2) = crossings
     if f1 == f2:
         return None
+    edge_vectors = pos[1:] - pos[0]
+    grad_f = np.linalg.solve(edge_vectors, f[1:] - f[0])
+    grad_g = np.linalg.solve(edge_vectors, g[1:] - g[0])
+    if sign * np.dot(p2 - p1, np.cross(grad_f, grad_g)) < 0:
+        return (p2, f2, p1, f1)
     return (p1, f1, p2, f2)
 
 
-def _reference_march(phi1, phi2, res):
+def _kuhn_tets():
+    # the six tetrahedra of a cube around its main diagonal, one per
+    # permutation p of the axes in itertools order: corners 0, e_p0,
+    # e_p0 + e_p1 and (1, 1, 1)
+    e = np.eye(3, dtype=int)
+    return [[(0, 0, 0), e[p[0]], e[p[0]] + e[p[1]], (1, 1, 1)]
+            for p in itertools.permutations(range(3))]
+
+
+def _reference_march(phi1, phi2, res, sign):
     offsets = [(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)]
     c1 = np.stack([np.roll(phi1, (-dx, -dy, -dz), axis=(0, 1, 2)) for dx, dy, dz in offsets])
     c2 = np.stack([np.roll(phi2, (-dx, -dy, -dz), axis=(0, 1, 2)) for dx, dy, dz in offsets])
     straddle = (c1.min(0) < 0) & (c1.max(0) > 0) & (c2.min(0) < 0) & (c2.max(0) > 0)
     segments = []
     for cell in np.argwhere(straddle):
-        for tet in preimage._KUHN_TETS:
-            cidx = [offsets.index(o) for o in tet]
+        for tet in _kuhn_tets():
+            cidx = [offsets.index(tuple(o)) for o in tet]
             corners = cell + np.array(tet)
             pos = corners.astype(float)
             ids = [int((x % res * res + y % res) * res + z % res) for x, y, z in corners]
             seg = _reference_tet_segment(
-                pos, ids, c1[cidx, cell[0], cell[1], cell[2]], c2[cidx, cell[0], cell[1], cell[2]]
+                pos, ids, c1[cidx, cell[0], cell[1], cell[2]], c2[cidx, cell[0], cell[1], cell[2]],
+                sign,
             )
             if seg is not None:
                 segments.append(seg)
@@ -195,17 +212,19 @@ def _reference_march(phi1, phi2, res):
 
 
 def _level_sets(h, target, res):
+    """phi1, phi2 and the sign of the target's dominant component."""
     s = np.asarray(target, float) / np.linalg.norm(target)
     axis = int(np.argmax(np.abs(s)))
     e1, e2 = (axis + 1) % 3, (axis + 2) % 3
     bloch = _bloch_grid(HopfParams(h), res)
-    return bloch[..., e1] - (s[e1] + _LEVEL_NUDGE[0]), bloch[..., e2] - (s[e2] + _LEVEL_NUDGE[1])
+    return (bloch[..., e1] - (s[e1] + _LEVEL_NUDGE[0]),
+            bloch[..., e2] - (s[e2] + _LEVEL_NUDGE[1]), np.sign(s[axis]))
 
 
 def _assert_same_segments(h, target, res):
-    phi1, phi2 = _level_sets(h, target, res)
-    points, faces = _march_segments(phi1, phi2, res)
-    want = _reference_march(phi1, phi2, res)
+    phi1, phi2, sign = _level_sets(h, target, res)
+    points, faces = _march_segments(phi1, phi2, res, sign)
+    want = _reference_march(phi1, phi2, res, sign)
     assert points.shape == faces.shape == (len(want), 2, 3)
     for p, f, (q1, g1, q2, g2) in zip(points, faces, want):
         assert np.array_equal(p[0], q1) and np.array_equal(p[1], q2)
@@ -231,6 +250,39 @@ def test_march_matches_scalar_reference_on_axis_targets(h, target):
     _assert_same_segments(h, target, 16)
 
 
+def _frame_vote(verts, s, params):
+    """Terms of a per-loop orientation vote that does not use the march:
+    each step of the loop against grad(S.e1') x grad(S.e2') at its start,
+    from finite differences, for a tangent frame (e1', e2' = s x e1') at s."""
+    w = np.zeros(3)
+    w[int(np.argmin(np.abs(s)))] = 1.0
+    e1p = w - np.dot(w, s) * s
+    e1p /= np.linalg.norm(e1p)
+    e2p = np.cross(s, e1p)
+    jac = preimage._spin_jacobian(verts, params)
+    t_ref = np.cross(np.einsum("mij,i->mj", jac, e1p), np.einsum("mij,i->mj", jac, e2p))
+    delta = np.roll(verts, -1, axis=0) - verts
+    delta = (delta + np.pi) % TWO_PI - np.pi
+    return np.sum(delta * t_ref, axis=1)
+
+
+@pytest.mark.parametrize("res", [32, 64])
+@pytest.mark.parametrize("h", [2.9, 2.0, 0.5, -0.5, -2.0])
+def test_loops_run_the_way_a_decisive_frame_vote_points(h, res):
+    # the march orients each segment by the level sets' gradients; wherever
+    # the loop's steps vote clearly (|sum| >= half the sum of |terms|), the
+    # pullback of the tangent frame must agree with it
+    params = HopfParams(h)
+    rng = np.random.default_rng([res, int(10 * h) % 64])
+    random = rng.normal(size=(6, 3))
+    targets = np.vstack([np.eye(3), -np.eye(3), random / np.linalg.norm(random, axis=1)[:, None]])
+    votes = []
+    for s in targets:
+        votes += [_frame_vote(c.vertices, s, params) for c in preimage_contours(params, s, res)]
+    decisive = [v.sum() for v in votes if abs(v.sum()) >= 0.5 * np.abs(v).sum()]
+    assert len(decisive) >= 0.9 * len(votes) and min(decisive) > 0
+
+
 # faces 0-3 hold the corners of a square, face 4 a point off it
 _FACES = np.array([(0, 1, 17), (1, 2, 18), (2, 3, 19), (3, 4, 20), (5, 6, 7)])
 _CORNERS = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [2, 2, 0]], float)
@@ -242,19 +294,22 @@ def _segments(ends):
     return _CORNERS[ends], _FACES[ends]
 
 
+# the oriented square 0 -> 1 -> 2 -> 3 -> 0, its segments in scrambled order
+_SCRAMBLED_SQUARE = [(2, 3), (0, 1), (3, 0), (1, 2)]
+
+
 def test_chain_segments_walks_scrambled_segments_into_one_loop():
-    # segments in scrambled order, two of them stored end-first: the walk
-    # starts at segment 0, enters each segment at the end its predecessor
-    # left through, and records the corner where it enters
-    points, faces = _segments([(2, 3), (1, 0), (3, 0), (2, 1)])
+    # the walk starts at segment 0, enters each segment at its tail, where
+    # its predecessor's head lies, and records the corner where it enters
+    points, faces = _segments(_SCRAMBLED_SQUARE)
     (loop,) = _chain_segments(points, faces)
     assert np.array_equal(loop, _SQUARE_CORNERS[[2, 3, 0, 1]])
     assert _chain_segments(np.empty((0, 2, 3)), np.empty((0, 2, 3), int)) == []
 
 
 @pytest.mark.parametrize("ends, face, count", [
-    ([(2, 3), (1, 0), (2, 1)], (3, 4, 20), 1),  # the segment 3 -> 0 is missing
-    ([(2, 3), (1, 0), (3, 0), (2, 1), (4, 1)], (1, 2, 18), 3),
+    ([(2, 3), (0, 1), (1, 2)], (3, 4, 20), 1),  # the segment 3 -> 0 is missing
+    ([(2, 3), (0, 1), (3, 0), (1, 2), (4, 1)], (1, 2, 18), 3),
 ])
 def test_chain_segments_refuses_a_face_without_two_ends(ends, face, count):
     with pytest.raises(ResolutionTooCoarse, match=re.escape(
@@ -262,9 +317,21 @@ def test_chain_segments_refuses_a_face_without_two_ends(ends, face, count):
         _chain_segments(*_segments(ends))
 
 
+@pytest.mark.parametrize("ends, face, kind", [
+    ([(2, 3), (1, 0), (3, 0), (1, 2)], (0, 1, 17), "heads"),  # 0 -> 1 reversed
+    ([(2, 3), (0, 1), (0, 3), (1, 2)], (0, 1, 17), "tails"),  # 3 -> 0 reversed
+])
+def test_chain_segments_refuses_a_face_with_two_heads_or_two_tails(ends, face, kind):
+    # a reversed segment leaves a face holding two heads and one holding two
+    # tails; the first in face order is named
+    with pytest.raises(ResolutionTooCoarse, match=re.escape(
+            f"face {face} holds two segment {kind}; increase the marching resolution")):
+        _chain_segments(*_segments(ends))
+
+
 def test_chain_segments_with_grid_ids_beyond_res_128():
     # face ids of a res > 128 grid pass 2**21 and pair up as small ones do
-    points, faces = _segments([(2, 3), (1, 0), (3, 0), (2, 1)])
+    points, faces = _segments(_SCRAMBLED_SQUARE)
     (loop,) = _chain_segments(points, faces * 2**40 + 7)
     assert np.array_equal(loop, _SQUARE_CORNERS[[2, 3, 0, 1]])
 
@@ -370,7 +437,7 @@ def test_preimage_contours_samples_each_vertex_array_once(monkeypatch, h, target
 
     monkeypatch.setattr(model, "bloch_ground", recording)
     loops = preimage_contours(HopfParams(h), target, res=32)
-    assert loops and len(batches) >= 13 * len(loops)
+    assert loops and len(batches) >= 7 * len(loops)
     repeated = len(batches) - len(set(batches))
     assert repeated == 0
 
@@ -777,6 +844,9 @@ def test_link_matrix_h31_unlinked_and_absent():
     assert lm.values[0][2] is None and lm.values[2][1] is None
     lone = link_matrix(HopfParams(3.1), [(1, 0, 0), (0, 0, -1)], res=48).to_dict()
     assert lone["min_separation_cells"] is None and lone["max_residual"] is None
+    assert 0 < lone["max_newton_residual"] < 0.05  # the loop of (1, 0, 0) has one
+    empty = link_matrix(HopfParams(3.1), [(0, 0, -1), (0.6, 0, -0.8)], res=32)
+    assert empty.absent == [0, 1] and empty.max_newton_residual is None
 
 
 def test_link_matrix_at_res_160_keeps_near_zero_length_segments():
@@ -801,3 +871,7 @@ def test_link_matrix_h0_total_linking_two():
     pairs = [linking_number_t3(a, b) for a in lm.loops[0] for b in lm.loops[1]]
     assert d["min_separation_cells"] == min(lk.separation for lk in pairs) * 48 / TWO_PI
     assert d["max_residual"] == max(abs(lk.residual) for lk in pairs) < 1e-6
+    # and the Newton residual the extreme over every vertex of the four loops
+    dev = [np.linalg.norm(bloch_ground(c.vertices, HopfParams(0.0)) - t, axis=1).max()
+           for t, loops in zip(lm.targets, lm.loops) for c in loops]
+    assert d["max_newton_residual"] == max(dev) < 0.05
