@@ -152,7 +152,10 @@ def bloch_grid(res, params):
 
     Equal bit for bit to ``bloch_ground`` on the meshgrid of those momenta
     (``indexing="ij"``), but sampled from 1-D sin/cos tables by broadcasting
-    and normalized in place, so no (res^3, 3) temporary is made.
+    into three contiguous component planes, a (3, res, res, res) buffer;
+    the result is its (res, res, res, 3) view, so ``bloch[..., e]`` is a
+    C-contiguous plane.  C(k) is formed once, and its buffer then holds
+    |u|^2 summed one plane at a time, as ``norms`` sums it, and |u|.
 
     Raises
     ------
@@ -162,15 +165,20 @@ def bloch_grid(res, params):
     grid = 2.0 * np.pi * np.arange(res) / res
     sin, cos = np.sin(grid), np.cos(grid)
     x, y, z = (slice(None), None, None), (None, slice(None), None), (None, None, slice(None))
-    c = cos[x] + cos[y] + cos[z] + params.h
-    u = _fill_u(np.empty((res, res, res, 3)), sin[x], sin[y], sin[z], c)
-    n = norms(u)
+    c = cos[x] + cos[y] + cos[z]
+    c += params.h
+    planes = np.empty((3, res, res, res))
+    _fill_u(np.moveaxis(planes, 0, -1), sin[x], sin[y], sin[z], c)
+    n = np.square(planes[0], out=c)
+    for plane in planes[1:]:
+        n += np.square(plane)
+    np.sqrt(n, out=n)
     if np.any(n < GAP_TOL):
         worst = np.unravel_index(int(np.argmin(n)), n.shape)
         _check_gapped(n[worst], grid[list(worst)])
-    np.negative(u, out=u)
-    u /= n[..., None]
-    return u
+    np.negative(planes, out=planes)
+    planes /= n
+    return np.moveaxis(planes, 0, -1)
 
 
 def eta_of_k(k, params):

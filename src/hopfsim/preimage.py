@@ -5,11 +5,12 @@ ground-state spin field equals s.  It is extracted as the intersection of
 the two level sets {S_e1(k) = s_e1} and {S_e2(k) = s_e2} (e1, e2 the two
 coordinate axes other than the dominant component of s), marching over a
 tetrahedral decomposition of an auxiliary fine grid, with the dominant
-component's sign disambiguating the antipodal solution.  The marching is one
-array pass over every straddling cell x 6 Kuhn tetrahedra, driven by a
-16-row table of cut edges keyed by a tetrahedron's sign pattern; the grid of
-Bloch vectors is sampled once for all targets of a link matrix, from
-separable sin/cos tables (``model.bloch_grid``).  Each segment points along
+component's sign disambiguating the antipodal solution.  The Bloch grid is
+sampled once per link matrix, as three contiguous component planes
+(``model.bloch_grid``).  A target compares two planes with its levels into
+one byte of sign flags per vertex, ORed over each cell's corners to find the
+straddling cells, which are marched in array passes over 6 Kuhn tetrahedra
+each, driven by a 16-row table of cut edges.  Each segment points along
 sign(s_axis) grad(phi1) x grad(phi2) on its own tetrahedron, phi1 and phi2
 the two level-set functions; on the curve that is the pullback of any
 tangent frame (e1', e2') at s with e1' x e2' = s.  Segments stay arrays up to
@@ -47,9 +48,11 @@ from .errors import (
     ResolutionTooCoarse,
     WindingLoops,
 )
+from .invariants import _roll_into
 
 TOL_SEP = 1e-3
 _GAUSS_BLOCK = 64  # segments of either curve per block of a Gauss sum
+_MARCH_BLOCK = 512  # straddling cells per block of the march
 _LEVEL_NUDGE = (1.0e-9, 1.37e-9)  # dodges exact-zero grid values on symmetry planes
 
 TWO_PI = 2.0 * np.pi
@@ -112,6 +115,8 @@ def polyline_from_dict(d):
 
 def _unit_target(s):
     s = np.asarray(s, dtype=float)
+    if s.shape != (3,):
+        raise ValueError(f"spin target must be a 3-vector, got shape {s.shape}")
     if not np.isfinite(s).all():
         raise ValueError(f"spin target must be finite, got {s.tolist()}")
     norm = np.linalg.norm(s)
@@ -172,7 +177,7 @@ def preimage_contours(params, target, res=64):
     params : model.HopfParams
     target : unit 3-vector
     res : int
-        Cells per axis of the marching grid, 16 to 256 (about 0.8 GB at 256).
+        Cells per axis of the marching grid, 16 to 256 (about 0.7 GB at 256).
 
     Returns
     -------
@@ -192,11 +197,8 @@ def preimage_contours(params, target, res=64):
     e1, e2 = (axis + 1) % 3, (axis + 2) % 3
 
     bloch = _bloch_grid(params, res)
-    phi1 = bloch[..., e1] - (s[e1] + _LEVEL_NUDGE[0])
-    phi2 = bloch[..., e2] - (s[e2] + _LEVEL_NUDGE[1])
-
-    points, faces = _march_segments(phi1, phi2, res, np.sign(s[axis]))
-    loops = _chain_segments(points, faces)
+    levels = [(bloch[..., e], s[e] + nudge) for e, nudge in zip((e1, e2), _LEVEL_NUDGE)]
+    loops = _chain_segments(*_march_segments(*levels, res, np.sign(s[axis])))
 
     out = []
     for loop in loops:
@@ -226,42 +228,50 @@ def _bloch_grid(params, res):
     return bloch
 
 
-def _march_segments(phi1, phi2, res, sign):
+def _march_segments(level1, level2, res, sign):
     """Per-tetrahedron intersection segments of the two level sets, oriented.
 
-    Returns ``(points, faces)``: ``points[i, side]`` is an end of segment i
-    in grid units, shape (m, 2, 3), and ``faces[i, side]`` the sorted global
-    ids of the three grid vertices spanning the tetrahedron face holding
-    that end, shape (m, 2, 3).  Segments come in cell-major order (cells as
-    ``np.argwhere`` lists them), Kuhn tetrahedra in ``_TET_STEPS`` order
-    within a cell.  Each segment runs from side 0 to side 1 along sign *
-    grad(phi1) x grad(phi2) of the linear interpolants on its tetrahedron.
+    Each level set is a (plane, level) pair, phi = plane - level.  Returns
+    ``(points, faces)``: ``points[i, side]`` is an end of segment i in grid
+    units, shape (m, 2, 3), and ``faces[i, side]`` the sorted global ids of
+    the three grid vertices spanning the tetrahedron face holding that end,
+    shape (m, 2, 3), in row-major cell order, then ``_TET_STEPS`` order.
+    Each segment runs from side 0 to side 1 along sign * grad(phi1) x
+    grad(phi2) of the linear interpolants on its tetrahedron.
 
-    All straddling cells x 6 tetrahedra are marched as one array pass.  A
-    tetrahedron's sign pattern of ``phi1 > 0`` (4 bits) picks its row of
-    ``_TET_EDGES``: the edges cut by {phi1 = 0}, in cycle order around the
-    cut polygon (a triangle padded by repeating its first edge, or a
-    quadrilateral).  ``phi2`` is interpolated at the cut points; a segment
-    joins the two crossings of {phi2 = 0} along the polygon's sides, each on
-    the face spanned by the corners of its side's two edges.
+    fl(plane - level) has the sign of plane - level, so no phi grid is
+    formed: a vertex packs phi1 < 0, phi1 > 0, phi2 < 0, phi2 > 0 into one
+    byte, and a cell straddles both level sets when the OR of its 2x2x2
+    corners' bytes is 15.  Each block of ``_MARCH_BLOCK`` such cells x 6
+    tetrahedra is one array pass.  A tetrahedron's sign pattern of phi1 > 0
+    picks its row of ``_TET_EDGES``: the edges {phi1 = 0} cuts, in cycle
+    order around the cut polygon (a triangle padded by repeating its first
+    edge, or a quadrilateral).  A segment joins the two crossings of
+    {phi2 = 0} along the polygon's sides, each on the face spanned by the
+    corners of its side's two edges.
     """
-    # a cell straddles both level sets when each field has a corner below 0
-    # and one above 0
-    straddle = np.ones(phi1.shape, dtype=bool)
-    for phi in (phi1, phi2):
-        for side in (phi < 0, phi > 0):
-            for ax in range(3):  # any over the 2x2x2 corners, one axis at a time
-                side |= np.roll(side, -1, axis=ax)
-            straddle &= side
-    cells = np.argwhere(straddle)
+    code = np.zeros(level1[0].shape, dtype=np.uint8)
+    work = np.empty_like(code)
+    for bit, ((plane, level), op) in enumerate(product((level1, level2), (np.less, np.greater))):
+        op(plane, level, out=work.view(bool))
+        code |= np.left_shift(work, bit, out=work)
+    for ax in range(3):  # OR over the 2x2x2 corners, one axis at a time
+        code |= _roll_into(work, code, ax)
+    straddle = np.flatnonzero(np.equal(code, 15, out=work.view(bool)))
+    cells = np.stack(np.unravel_index(straddle, code.shape), axis=1)
+    del code, work  # so no grid-sized array adds to the blocks' peak
+    blocks = [_march_cells(cells[i:i + _MARCH_BLOCK], level1, level2, res, sign)
+              for i in range(0, max(len(cells), 1), _MARCH_BLOCK)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
 
-    # grid ids of each cell's 8 corners (dx slowest), then the corner values
-    # of every (cell, tet) row, cell-major
+
+def _march_cells(cells, level1, level2, res, sign):
+    """The march on a block of straddling cells: grid ids of each cell's 8
+    corners (dx slowest), then the corner values of every (cell, tet) row."""
     cube = np.array([(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
-    wrapped = (cells[:, None, :] + cube) % res
-    ids = (wrapped[..., 0] * res + wrapped[..., 1]) * res + wrapped[..., 2]
-    f = phi1.ravel()[ids][:, _TET_CORNERS].reshape(-1, 4)
-    g = phi2.ravel()[ids][:, _TET_CORNERS].reshape(-1, 4)
+    ids = ((cells[:, None, :] + cube) % res) @ (res * res, res, 1)
+    f, g = ((plane.take(ids) - level)[:, _TET_CORNERS].reshape(-1, 4)
+            for plane, level in (level1, level2))
 
     key = (f > 0) @ (1 << np.arange(4))
     rows = np.nonzero((key > 0) & (key < 15))[0]
@@ -270,22 +280,22 @@ def _march_segments(phi1, phi2, res, sign):
     edges = _TET_EDGES[key]  # (m tets, 4 sides, 2 ends)
     pick = rows[:, None, None], edges
     fe, ge = f[pick], g[pick]
-    pe = (cells[cell, None, None, :] + _TET_OFFSETS[tet[:, None, None], edges]).astype(float)
     t = fe[..., 0] / (fe[..., 0] - fe[..., 1])  # ends differ in sign: no 0/0
-    pts = pe[..., 0, :] + t[..., None] * (pe[..., 1, :] - pe[..., 0, :])
     gv = ge[..., 0] + t * (ge[..., 1] - ge[..., 0])
 
     # side k of the cut polygon runs from cut edge k to cut edge k + 1
     above = gv > 0
     crosses = above != np.roll(above, -1, axis=1)
     kept = np.nonzero(crosses.sum(axis=1) == 2)[0]
-    j, side = np.nonzero(crosses[kept])  # two sides per kept tet, ascending
-    j = kept[j]
+    pe = cells[cell[kept], None, None, :] + _TET_OFFSETS[tet[kept, None, None], edges[kept]]
+    pts = pe[..., 0, :] + t[kept, :, None] * (pe[..., 1, :] - pe[..., 0, :])
+    i, side = np.nonzero(crosses[kept])  # two sides per kept tet, ascending
+    j = kept[i]
     nxt = (side + 1) % 4
     g0, g1 = gv[j, side], gv[j, nxt]
     u = g0 / (g0 - g1)
-    p0 = pts[j, side]
-    point = (p0 + u[:, None] * (pts[j, nxt] - p0)).reshape(-1, 2, 3)
+    p0 = pts[i, side]
+    point = (p0 + u[:, None] * (pts[i, nxt] - p0)).reshape(-1, 2, 3)
     corners = _TET_CORNERS[tet[j, None], _TET_FACES[key[j], side]]
     faces = np.sort(ids[cell[j, None], corners], axis=1).reshape(-1, 2, 3)
 

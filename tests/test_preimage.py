@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,19 +213,22 @@ def _reference_march(phi1, phi2, res, sign):
 
 
 def _level_sets(h, target, res):
-    """phi1, phi2 and the sign of the target's dominant component."""
+    """The (plane, level) pairs of the two level sets and the sign of the
+    target's dominant component."""
     s = np.asarray(target, float) / np.linalg.norm(target)
     axis = int(np.argmax(np.abs(s)))
     e1, e2 = (axis + 1) % 3, (axis + 2) % 3
     bloch = _bloch_grid(HopfParams(h), res)
-    return (bloch[..., e1] - (s[e1] + _LEVEL_NUDGE[0]),
-            bloch[..., e2] - (s[e2] + _LEVEL_NUDGE[1]), np.sign(s[axis]))
+    return ((bloch[..., e1], s[e1] + _LEVEL_NUDGE[0]),
+            (bloch[..., e2], s[e2] + _LEVEL_NUDGE[1]), np.sign(s[axis]))
 
 
 def _assert_same_segments(h, target, res):
-    phi1, phi2, sign = _level_sets(h, target, res)
-    points, faces = _march_segments(phi1, phi2, res, sign)
-    want = _reference_march(phi1, phi2, res, sign)
+    # the march compares each plane with its level; the reference marches
+    # phi = plane - level itself
+    level1, level2, sign = _level_sets(h, target, res)
+    points, faces = _march_segments(level1, level2, res, sign)
+    want = _reference_march(level1[0] - level1[1], level2[0] - level2[1], res, sign)
     assert points.shape == faces.shape == (len(want), 2, 3)
     for p, f, (q1, g1, q2, g2) in zip(points, faces, want):
         assert np.array_equal(p[0], q1) and np.array_equal(p[1], q2)
@@ -248,6 +252,21 @@ def test_march_matches_scalar_reference(h, res, v):
 def test_march_matches_scalar_reference_on_axis_targets(h, target):
     # axis targets put both level sets on symmetry planes of the model
     _assert_same_segments(h, target, 16)
+
+
+@pytest.mark.parametrize("h", [0.0, 2.0, 2.9])
+def test_march_allocates_less_than_one_float_grid(h):
+    # one byte of flags per vertex (and its shifted copy) and arrays over the
+    # straddling cells: no phi grid or other res^3 array of floats
+    res = 64
+    level1, level2, sign = _level_sets(h, (0, 1, 0), res)
+    tracemalloc.start()
+    try:
+        _march_segments(level1, level2, res, sign)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < res**3 * np.dtype(float).itemsize
 
 
 def _frame_vote(verts, s, params):
@@ -376,6 +395,17 @@ def test_bloch_grid_sampled_once_per_link_matrix(monkeypatch):
     assert not _bloch_grid(HopfParams(2.9), 16).flags.writeable
 
 
+def test_bloch_grid_component_planes_are_contiguous():
+    bloch = model.bloch_grid(16, HopfParams(2.0))
+    assert bloch.shape == (16, 16, 16, 3)
+    assert all(bloch[..., e].flags.c_contiguous for e in range(3))
+    _bloch_grid.cache_clear()
+    cached = _bloch_grid(HopfParams(2.0), 16)
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cached[..., 0][0, 0, 0] = 0.0
+
+
 @pytest.mark.parametrize("res", [16, 24, 64])
 def test_bloch_grid_equals_bloch_ground_on_the_meshgrid(res):
     grid = TWO_PI * np.arange(res) / res
@@ -405,6 +435,22 @@ def test_preimage_res_validation(monkeypatch):
     monkeypatch.setattr(model, "bloch_grid", no_grid)
     with pytest.raises(ValueError, match=re.escape("res must be in [16, 256], got 257")):
         preimage_contours(HopfParams(2.1), (1, 0, 0), res=257)
+
+
+@pytest.mark.parametrize("target, shape", [([1, 0, 0, 0], (4,)), ([[1, 0, 0]], (1, 3))])
+def test_targets_that_are_not_3_vectors_are_refused_before_sampling(monkeypatch, target, shape):
+    # a unit 4-vector used to pass the norm check, sample the whole grid and
+    # end in a broadcasting error
+    def no_grid(*args):
+        raise AssertionError("a grid was sampled")
+
+    monkeypatch.setattr(model, "bloch_grid", no_grid)
+    _bloch_grid.cache_clear()
+    message = re.escape(f"spin target must be a 3-vector, got shape {shape}")
+    with pytest.raises(ValueError, match=message):
+        preimage_contours(HopfParams(2.0), target, res=16)
+    with pytest.raises(ValueError, match=message):
+        link_matrix(HopfParams(2.0), [(0, 1, 0), target], res=16)
 
 
 @pytest.mark.parametrize("res", [64.0, 32.5, np.float64(32.0), "32"])
