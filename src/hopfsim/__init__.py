@@ -10,6 +10,7 @@ from .preimage import (
     link_matrix,
     linking_number_t3,
     preimage_contours,
+    refined_preimage,
 )
 from .adiabatic import build_schedule, evolve, mle_tomography, run_campaign, simulate_measurements
 

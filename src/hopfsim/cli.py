@@ -279,7 +279,7 @@ def _cmd_preimage(cfg):
     params = model.HopfParams(cfg.h[0])
     paths = []
     for spin in cfg.spins:
-        loops = preimage.preimage_contours(params, spin, res=cfg.res)
+        loops = preimage.refined_preimage(params, spin, res=cfg.res)
         doc = {"h": cfg.h[0], "target": list(spin), "res": cfg.res,
                "loops": [preimage.polyline_to_dict(c) for c in loops]}
         tag = "_".join(f"{x:+.2f}" for x in spin)

@@ -66,6 +66,12 @@ class WindingLoops(HopfError, ValueError):
         self.windings = windings
 
 
+class InconsistentLinks(HopfError):
+    """The entries of a link matrix disagree: two present off-diagonal
+    entries differ, or a target is absent while an entry is nonzero.  The
+    Hopf invariant does not depend on the targets, so one entry is wrong."""
+
+
 class CurvesTooClose(HopfError):
     """Two polylines approach closer than the separation tolerance."""
 

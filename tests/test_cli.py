@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from hopfsim import cli
+from hopfsim import cli, preimage
 from hopfsim.bzgrid import (
     MeshSpec,
     StateField,
@@ -253,7 +253,7 @@ def test_link_artifact(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert abs(doc["linking"][0][1]) == 1 and doc["absent"] == []
     assert doc["min_separation_cells"] > 0 and 0 <= doc["max_residual"] < 1e-6
-    assert 0 < doc["max_newton_residual"] < 0.2
+    assert "max_newton_residual" not in doc
 
 
 def test_link_with_winding_loops_is_a_typed_error(tmp_path, capsys):
@@ -271,6 +271,23 @@ def test_link_with_winding_loops_is_a_typed_error(tmp_path, capsys):
     assert doc["error"] == "WindingLoops"
     windings = doc["detail"]["windings"]
     assert len(windings) == 2 and any(any(w) for w in windings)
+    assert not out.exists()
+
+
+def test_link_with_inconsistent_entries_is_a_typed_error(tmp_path, capsys, monkeypatch):
+    # pairs that link 0, then -1, then -1 break the rule that every entry is
+    # the one Hopf invariant
+    values = iter([0, -1, -1])
+    monkeypatch.setattr(preimage, "linking_number_t3",
+                        lambda a, b: preimage.LinkingNumber(next(values), 0.0, 1.0))
+    out = tmp_path / "link.json"
+    code = run_cli(["link", "--h", "2.9", "--spins", "1,0,0;0,1,0;0,0,-1", "--res", "32",
+                    "--out", str(out)], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    assert json.loads(lines[0])["error"] == "InconsistentLinks"
     assert not out.exists()
 
 
