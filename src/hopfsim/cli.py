@@ -277,9 +277,10 @@ def _cmd_texture(cfg):
 
 def _cmd_preimage(cfg):
     params = model.HopfParams(cfg.h[0])
+    bloch = model.bloch_grid(cfg.res, params)  # one grid for every spin
     paths = []
     for spin in cfg.spins:
-        loops = preimage.refined_preimage(params, spin, res=cfg.res)
+        loops = preimage.refined_preimage(bloch, params, spin)
         doc = {"h": cfg.h[0], "target": list(spin), "res": cfg.res,
                "loops": [preimage.polyline_to_dict(c) for c in loops]}
         tag = "_".join(f"{x:+.2f}" for x in spin)

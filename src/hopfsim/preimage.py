@@ -169,10 +169,15 @@ def preimage_contours(bloch, target):
     corner vectors hold the origin in their hull, the whole loop then lies
     on the side of s.  The loops are not pulled onto the analytic curve
     (``refined_preimage`` does that).  ``ResolutionTooCoarse`` if the
-    segments cannot be chained into loops."""
+    segments cannot be chained into loops; ``ValueError`` for a grid of
+    another shape, or a res outside [16, 256]."""
     s = _unit_target(target)
+    bloch = np.asarray(bloch)
+    res = bloch.shape[0] if bloch.ndim == 4 else 0
+    if bloch.shape != (res, res, res, 3):
+        raise ValueError(f"Bloch grid must have shape (res, res, res, 3), got {bloch.shape}")
+    _check_res(res)
     planes = np.moveaxis(bloch, -1, 0)
-    res = planes.shape[1]
     points, faces = _march_segments(planes, *_frame(s), s)
     out = []
     for loop in _chain_segments(points, faces):
@@ -183,17 +188,16 @@ def preimage_contours(bloch, target):
     return out
 
 
-def refined_preimage(params, target, res=64):
-    """The loops of ``preimage_contours`` on ``model.bloch_grid(res, params)``,
-    each pulled onto the analytic curve by one Newton pass: the geometry of
-    ``hopf preimage``.  At res 64 the largest |S(k) - s| over the marched
-    vertices is 0.0985, 0.0085 and 0.0052 at h = 2.9, 2 and 0, and 0.0028,
-    under 1e-4 and 0.0006 after the pass.  res (an integer in [16, 256]) and
-    the target are checked before the grid is sampled (``ValueError``)."""
-    _check_res(res)
+def refined_preimage(bloch, params, target):
+    """The loops of ``preimage_contours(bloch, target)``, ``bloch`` sampled
+    from ``params`` (``model.bloch_grid(res, params)``), each pulled onto the
+    analytic curve by one Newton pass: the geometry of ``hopf preimage``.  At
+    res 64 the largest |S(k) - s| over the marched vertices is 0.0985, 0.0085
+    and 0.0052 at h = 2.9, 2 and 0, and 0.0028, under 1e-4 and 0.0006 after
+    the pass."""
     s = _unit_target(target)
     out = []
-    for c in preimage_contours(model.bloch_grid(res, params), s):
+    for c in preimage_contours(bloch, s):
         n_here = model.bloch_ground(c.vertices, params)
         inverse = np.linalg.pinv(_spin_jacobian(c.vertices, params), rcond=1e-8)
         kverts = _dedupe(np.mod(c.vertices + np.einsum("mij,mj->mi", inverse, s - n_here), TWO_PI))
@@ -226,11 +230,10 @@ def _frame(s):
 
 
 def _along(b, t):
-    """b . t over the first axis of b (a plane for a coordinate axis t); the
-    sign bytes and the march's corner values agree as both read it."""
-    (nonzero,) = np.nonzero(t)
-    if len(nonzero) == 1 and t[nonzero[0]] == 1.0:
-        return b[nonzero[0]]
+    """b . t over the first axis of b, one elementwise product and sum per
+    component, so the sign bytes and the march's corner values agree bit for
+    bit; for a coordinate axis t it equals that component plane up to the
+    sign of a zero."""
     return b[0] * t[0] + b[1] * t[1] + b[2] * t[2]
 
 
@@ -392,10 +395,14 @@ def _dedupe(verts, tol=1e-9):
 
 def _spin_jacobian(k, params, step=1e-6):
     """d(bloch)/dk by central differences, batched over vertices: (m, 3, 3)."""
-    jac = np.empty((len(k), 3, 3))
-    for ax, dk in enumerate(np.eye(3) * step):
-        jac[:, :, ax] = (model.bloch_ground(k + dk, params)
-                         - model.bloch_ground(k - dk, params)) / (2 * step)
+    m = len(k)
+    jac = np.empty((m, 3, 3))
+    for ax in range(3):
+        dk = np.zeros(3)
+        dk[ax] = step
+        jac[:, :, ax] = (
+            model.bloch_ground(k + dk, params) - model.bloch_ground(k - dk, params)
+        ) / (2 * step)
     return jac
 
 
@@ -403,8 +410,11 @@ def _spin_jacobian(k, params, step=1e-6):
 # epsilon-neighborhood of a spin orientation on a sampled field
 
 def epsilon_neighborhood(f, target, epsilon):
-    """Mesh sites whose Bloch vector lies within epsilon of the target:
-    [(site, bloch_vector), ...] in row-major site order, possibly empty."""
+    """Mesh sites whose Bloch vector lies within epsilon of the target.
+
+    Returns [(site, bloch_vector), ...] in row-major site order; an empty
+    list is a valid result.
+    """
     if not 0 < epsilon <= 2:
         raise ValueError(f"epsilon must be in (0, 2], got {epsilon}")
     s = _unit_target(target)
@@ -423,9 +433,14 @@ def embed_r3(c, params, chart="auto"):
     With ``chart="auto"`` the chart with the larger pole clearance is used;
     vertex count, closure and orientation are preserved.  The S3 map is
     2*pi-periodic, so curves crossing the zone boundary need no unwrapping.
-    ``ChartExhausted`` if the curve passes within ``model.POLE_DELTA`` of the
-    given chart's pole, or of both poles for ``chart="auto"``; ``ValueError``
-    for a chart other than "auto", "plus" or "minus".
+
+    Raises
+    ------
+    ChartExhausted
+        If the curve passes within ``model.POLE_DELTA`` of the given chart's
+        pole, or of both poles for ``chart="auto"``.
+    ValueError
+        If ``chart`` is not "auto", "plus" or "minus".
     """
     if c.coords != "T3":
         raise ValueError(f"embed_r3 expects a T3 polyline, got {c.coords}")
@@ -572,12 +587,18 @@ def gauss_linking_sum(a, b, tol_sep=0.0):
     triangles per segment pair.  A block pair whose boxes are strictly
     separated along an axis is summed from the boundary of its rectangle of
     chords, one fan triangle per boundary segment (``_separated_sum``): the
-    same sum from 2(|R| + |C|) terms in place of 2|R||C|.  The fused passes
-    measure their chord lengths, the vertex distances; a separated pair is
-    measured only when its box distance, a lower bound of each of its vertex
-    distances as computed, lies below the smallest distance found so far, so
-    the ``separation`` of the returned ``GaussSum`` is exact.
-    ``CurvesTooClose`` if a vertex of a lies within tol_sep of one of b.
+    same sum from 2(|R| + |C|) terms in place of 2|R||C|.
+
+    The fused passes measure their chord lengths, which are the vertex
+    distances.  A separated pair is measured only when its box distance, a
+    lower bound of each of its vertex distances as computed, lies below the
+    smallest distance found so far, so the ``separation`` of the returned
+    ``GaussSum`` is the exact smallest vertex distance.
+
+    Raises
+    ------
+    CurvesTooClose
+        If a vertex of a lies within tol_sep of a vertex of b, or on one.
     """
     p = np.vstack([a.vertices, a.vertices[:1]])
     qt = np.vstack([b.vertices, b.vertices[:1]]).T.copy()
@@ -631,8 +652,14 @@ def gauss_linking_number(a, b, tol_sep=TOL_SEP):
 
     Returns (value, residual, separation): residual is the distance of the
     raw Gauss sum from the returned integer, separation the smallest vertex
-    distance between the curves.  ``CurvesTooClose`` if that distance is
-    below tol_sep, ``NotClosed`` if either polyline is open.
+    distance between the curves.
+
+    Raises
+    ------
+    CurvesTooClose
+        If the minimum inter-curve vertex distance is below tol_sep.
+    NotClosed
+        If either polyline is open.
     """
     _closed_r3(a, "first curve")
     _closed_r3(b, "second curve")
@@ -676,11 +703,13 @@ def linking_number_t3(a, b, tol_sep=TOL_SEP):
 
     Both loops are lifted to the universal cover and the Gauss sum is taken
     against every periodic image of the second loop that is not separated
-    from the first by a coordinate plane (separated images link zero).  It
-    stays meaningful when the S3 map is not injective (|h| < 1, a double
-    cover, where the stereographic route overcounts by the degree squared).
+    from the first by a coordinate plane (separated images contribute an
+    exact zero).  This is the linking number that stays meaningful when the
+    S3 map is not injective (|h| < 1, where it is a double cover and the
+    stereographic route overcounts by the covering degree squared).
+
     The separation of the result is the smallest vertex distance over the
-    images summed (inf when a plane separates every image);
+    images summed (inf when every image is separated by a plane);
     ``CurvesTooClose`` is raised when one image comes within tol_sep.
     """
     va, wa = unwrap_t3(a)
@@ -713,14 +742,17 @@ class LinkMatrix:
     (absent targets listed in ``absent``).  A preimage may consist of more
     than one loop (it does in the |h| < 1 phase); the matrix entry is then
     the total linking between the two loop families and ``loops`` keeps the
-    per-target breakdown.  The Hopf invariant does not depend on the
-    targets, and a map missing a point of the sphere has none, so unequal
-    present entries, or an absent target beside a nonzero entry, raise
-    ``InconsistentLinks``.  Margins: ``min_separation_cells``, the smallest
-    vertex distance between linked loops over every Gauss sum, in cells of
-    the marching grid (None when no Gauss sum was taken); ``max_residual``,
-    the largest distance of a loop pair's raw linking sum from its integer
-    (None when no pair was linked)."""
+    per-target breakdown.
+
+    The Hopf invariant does not depend on the targets, and a map that misses
+    a point of the sphere has none, so unequal present entries, or an absent
+    target beside a nonzero entry, raise ``InconsistentLinks``.
+
+    The margins say how close the entries came to being wrong:
+    ``min_separation_cells`` is the smallest vertex distance between linked
+    loops over every Gauss sum, in cells of the marching grid (None when no
+    Gauss sum was taken); ``max_residual`` the largest distance of a loop
+    pair's raw linking sum from its integer (None when no pair was linked)."""
 
     targets: list
     values: list

@@ -242,6 +242,24 @@ def test_preimage_artifact(tmp_path, capsys):
     assert loop.coords == "T3" and loop.closed
 
 
+def test_preimage_of_several_spins_samples_one_grid(tmp_path, capsys, monkeypatch):
+    grids = []
+    original = cli.model.bloch_grid
+
+    def counting(res, params):
+        grids.append(res)
+        return original(res, params)
+
+    monkeypatch.setattr(cli.model, "bloch_grid", counting)
+    code = run_cli(["preimage", "--h", "2.9", "--spin", "1,0,0", "--spin", "0,1,0",
+                    "--res", "32", "--out", str(tmp_path / "pre.json")], tmp_path)
+    assert code == 0 and grids == [32]
+    capsys.readouterr()
+    for tag in ("+1.00_+0.00_+0.00", "+0.00_+1.00_+0.00"):
+        doc = json.loads((tmp_path / f"pre_s{tag}.json").read_text())
+        assert len(doc["loops"]) == 1
+
+
 def test_link_artifact(tmp_path, capsys):
     out = tmp_path / "link.json"
     code = run_cli(

@@ -109,7 +109,7 @@ def test_polyline_json_roundtrip():
 def test_preimage_single_loops_at_h29():
     p = HopfParams(2.9)
     for target in ((1, 0, 0), (0, 1, 0), (0, 0, -1)):
-        loops = refined_preimage(p, target, res=64)
+        loops = refined_preimage(model.bloch_grid(64, p), p, target)
         assert len(loops) == 1
         c = loops[0]
         assert c.closed and c.coords == "T3" and len(c) >= 3
@@ -120,13 +120,15 @@ def test_preimage_single_loops_at_h29():
 
 
 def test_preimage_vanishes_at_h31():
-    assert refined_preimage(HopfParams(3.1), (0, 0, -1), res=64) == []
-    assert preimage_contours(model.bloch_grid(64, HopfParams(3.1)), (0, 0, -1)) == []
+    p = HopfParams(3.1)
+    bloch = model.bloch_grid(64, p)
+    assert refined_preimage(bloch, p, (0, 0, -1)) == []
+    assert preimage_contours(bloch, (0, 0, -1)) == []
 
 
 def test_preimage_diagonal_target():
     p = HopfParams(2.0)
-    loops = refined_preimage(p, np.array([-1, -1, 0]) / np.sqrt(2), res=64)
+    loops = refined_preimage(model.bloch_grid(64, p), p, np.array([-1, -1, 0]) / np.sqrt(2))
     assert len(loops) == 1
     dev = np.linalg.norm(
         bloch_ground(loops[0].vertices, p) - np.array([-1, -1, 0]) / np.sqrt(2), axis=1
@@ -136,7 +138,7 @@ def test_preimage_diagonal_target():
 
 def test_preimage_closure_mod_2pi():
     p = HopfParams(2.9)
-    (c,) = refined_preimage(p, (1, 0, 0), res=32)
+    (c,) = refined_preimage(model.bloch_grid(32, p), p, (1, 0, 0))
     gap = c.vertices[0] - c.vertices[-1]
     gap = (gap + np.pi) % TWO_PI - np.pi
     cell = TWO_PI / 32 * np.sqrt(3)
@@ -319,9 +321,10 @@ def test_loops_run_the_way_a_decisive_frame_vote_points(h, res):
     rng = np.random.default_rng([res, int(10 * h) % 64])
     random = rng.normal(size=(6, 3))
     targets = np.vstack([np.eye(3), -np.eye(3), random / np.linalg.norm(random, axis=1)[:, None]])
+    bloch = model.bloch_grid(res, params)
     votes = []
     for s in targets:
-        votes += [_frame_vote(c.vertices, s, params) for c in refined_preimage(params, s, res)]
+        votes += [_frame_vote(c.vertices, s, params) for c in refined_preimage(bloch, params, s)]
     decisive = [v.sum() for v in votes if abs(v.sum()) >= 0.5 * np.abs(v).sum()]
     assert len(decisive) >= 0.9 * len(votes) and min(decisive) > 0
 
@@ -460,17 +463,18 @@ def test_bloch_grid_raises_gapless_point_with_its_k():
 
 
 def test_preimage_res_validation(monkeypatch):
-    with pytest.raises(ValueError):
-        refined_preimage(HopfParams(2.9), (1, 0, 0), res=8)
-    with pytest.raises(ValueError):
-        refined_preimage(HopfParams(2.9), (1, 0, 2), res=32)
+    with pytest.raises(ValueError, match=re.escape("res must be in [16, 256], got 8")):
+        preimage_contours(np.zeros((8, 8, 8, 3)), (1, 0, 0))
+    with pytest.raises(ValueError, match="unit vector"):
+        preimage_contours(np.zeros((32, 32, 32, 3)), (1, 0, 2))
+    # a grid of 257^3 points is refused from its shape alone (a view, no memory)
+    with pytest.raises(ValueError, match=re.escape("res must be in [16, 256], got 257")):
+        preimage_contours(np.broadcast_to(np.zeros(3), (257, 257, 257, 3)), (1, 0, 0))
 
     def no_grid(*args):
         raise AssertionError("a grid was sampled")
 
     monkeypatch.setattr(model, "bloch_grid", no_grid)
-    with pytest.raises(ValueError, match=re.escape("res must be in [16, 256], got 257")):
-        refined_preimage(HopfParams(2.1), (1, 0, 0), res=257)
     with pytest.raises(ValueError, match=re.escape("res must be in [16, 256], got 257")):
         link_matrix(HopfParams(2.1), [(1, 0, 0), (0, 1, 0)], res=257)
 
@@ -485,7 +489,7 @@ def test_targets_that_are_not_3_vectors_are_refused_before_sampling(monkeypatch,
     monkeypatch.setattr(model, "bloch_grid", no_grid)
     message = re.escape(f"spin target must be a 3-vector, got shape {shape}")
     with pytest.raises(ValueError, match=message):
-        refined_preimage(HopfParams(2.0), target, res=16)
+        refined_preimage(np.zeros((16, 16, 16, 3)), HopfParams(2.0), target)
     with pytest.raises(ValueError, match=message):
         link_matrix(HopfParams(2.0), [(0, 1, 0), target], res=16)
 
@@ -493,9 +497,19 @@ def test_targets_that_are_not_3_vectors_are_refused_before_sampling(monkeypatch,
 @pytest.mark.parametrize("res", [64.0, 32.5, np.float64(32.0), "32"])
 def test_preimage_contours_refuses_non_integer_res(res):
     # a float res used to end in a TypeError inside the marching; the march
-    # takes its res from the grid, which refined_preimage samples
+    # now takes its res from the grid's shape, so a res given as a number
+    # reaches it only through link_matrix, which refuses it before sampling
     with pytest.raises(ValueError, match=re.escape(f"res must be an integer, got {res!r}")):
-        refined_preimage(HopfParams(2.9), (1, 0, 0), res=res)
+        link_matrix(HopfParams(2.9), [(1, 0, 0), (0, 1, 0)], res=res)
+
+
+@pytest.mark.parametrize("shape", [(32, 16, 16, 3), (16, 16, 32, 3), (16, 16, 16), (16, 16, 16, 4),
+                                   (16, 16, 16, 16, 3)])
+def test_preimage_contours_refuses_grids_that_are_not_res_cubes(shape):
+    # corner ids are formed modulo res on every axis, so a grid of another
+    # shape would march wrong cells
+    with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+        preimage_contours(np.zeros(shape), (1, 0, 0))
 
 
 @pytest.mark.parametrize("res", [32.5, 32.0])
@@ -522,8 +536,9 @@ def test_preimage_contours_samples_each_vertex_array_once(monkeypatch, h, target
         return original(k, params)
 
     monkeypatch.setattr(model, "bloch_ground", recording)
-    assert preimage_contours(model.bloch_grid(32, HopfParams(h)), target) and not batches
-    loops = refined_preimage(HopfParams(h), target, res=32)
+    bloch = model.bloch_grid(32, HopfParams(h))
+    assert preimage_contours(bloch, target) and not batches
+    loops = refined_preimage(bloch, HopfParams(h), target)
     assert loops and len(batches) >= 7 * len(loops)
     repeated = len(batches) - len(set(batches))
     assert repeated == 0
@@ -533,10 +548,11 @@ def test_preimage_contours_samples_each_vertex_array_once(monkeypatch, h, target
 def test_non_finite_targets_are_refused(target):
     # a NaN fails the unit-norm comparison too, so only a finiteness check
     # stops it from giving an empty preimage
+    bloch = model.bloch_grid(16, HopfParams(2.0))
     with pytest.raises(ValueError, match="finite"):
-        refined_preimage(HopfParams(2.0), target, res=16)
+        refined_preimage(bloch, HopfParams(2.0), target)
     with pytest.raises(ValueError, match="finite"):
-        preimage_contours(model.bloch_grid(16, HopfParams(2.0)), target)
+        preimage_contours(bloch, target)
     with pytest.raises(ValueError, match="finite"):
         link_matrix(HopfParams(2.0), [target, (0, 1, 0)], res=16)
     f = sample_state_field(HopfParams(2.0), MeshSpec(4))
@@ -580,7 +596,7 @@ def test_epsilon_neighborhood_validation():
 
 def test_embed_preserves_count_and_closure():
     p = HopfParams(2.9)
-    (c,) = refined_preimage(p, (1, 0, 0), res=32)
+    (c,) = refined_preimage(model.bloch_grid(32, p), p, (1, 0, 0))
     r3 = embed_r3(c, p)
     assert len(r3) == len(c) and r3.closed and r3.coords == "R3"
     assert np.isfinite(r3.vertices).all()
@@ -978,8 +994,9 @@ def test_link_matrix_h0_total_linking_two():
 @pytest.mark.parametrize("target", [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
                                     (0, 0, -1)])
 def test_axis_targets_march_the_two_other_component_planes(target):
-    # the frame of an axis target is the next two axes in cyclic order, read
-    # as planes, and its sign that of the target: the march before the frame
+    # the frame of an axis target is the next two axes in cyclic order and
+    # its sign that of the target, and b.t equals those component planes (up
+    # to the sign of a zero): the march before the frame, bit for bit
     s = np.array(target, float)
     axis = int(np.argmax(np.abs(s)))
     ((t1, level1), (t2, level2)), sign = _frame(s)
@@ -987,8 +1004,11 @@ def test_axis_targets_march_the_two_other_component_planes(target):
     assert np.array_equal(t1, np.eye(3)[(axis + 1) % 3])
     assert np.array_equal(t2, np.eye(3)[(axis + 2) % 3])
     assert sign == s[axis]
-    planes = np.arange(6.0).reshape(3, 2)
-    assert np.shares_memory(preimage._along(planes, t1), planes)
+    planes = np.random.default_rng(7).normal(size=(3, 64))
+    planes[:, ::5] = 0.0
+    planes[:, 1::7] = -0.0
+    for t, e in ((t1, (axis + 1) % 3), (t2, (axis + 2) % 3)):
+        assert np.array_equal(preimage._along(planes, t), planes[e])
 
 
 @settings(max_examples=60, deadline=None)
