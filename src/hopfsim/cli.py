@@ -182,8 +182,8 @@ def parse_config(argv):
             adiabatic._stream_key(cfg.seed)
     except (TypeError, ValueError) as err:
         raise UsageError(f"invalid value: {err}") from None
-    if cmd in ("preimage", "link") and not 16 <= cfg.res <= 256:
-        raise UsageError(f"--res must be in [16, 256], got {cfg.res}")
+    if cmd in ("preimage", "link") and not 16 <= cfg.res <= 512:
+        raise UsageError(f"--res must be in [16, 512], got {cfg.res}")
     if cfg.threads < 0:
         raise UsageError(f"--threads must be >= 0 (0: one per CPU), got {cfg.threads}")
     return cfg
@@ -276,11 +276,10 @@ def _cmd_texture(cfg):
     return [path]
 
 def _cmd_preimage(cfg):
-    params = model.HopfParams(cfg.h[0])
-    bloch = model.bloch_grid(cfg.res, params)  # one grid for every spin
+    # one pass over the grid's planes marches every spin
+    loops_per_spin = preimage.refined_preimage(model.HopfParams(cfg.h[0]), cfg.spins, cfg.res)
     paths = []
-    for spin in cfg.spins:
-        loops = preimage.refined_preimage(bloch, params, spin)
+    for spin, loops in zip(cfg.spins, loops_per_spin):
         doc = {"h": cfg.h[0], "target": list(spin), "res": cfg.res,
                "loops": [preimage.polyline_to_dict(c) for c in loops]}
         tag = "_".join(f"{x:+.2f}" for x in spin)

@@ -147,35 +147,38 @@ def bloch_ground(k, params):
     return -u / n[..., None]
 
 
-def bloch_grid(res, params):
-    """Ground-state Bloch vectors on the grid k = 2*pi*(i, j, l)/res: (res,)*3 + (3,).
+def bloch_grid(res, params, lo=0, hi=None, out=None):
+    """Ground-state Bloch vectors on the x-planes lo..hi-1 (all by default) of
+    the grid k = 2*pi*(i, j, l)/res: shape (hi - lo, res, res, 3).
 
     Equal bit for bit to ``bloch_ground`` on the meshgrid of those momenta
     (``indexing="ij"``), but sampled from 1-D sin/cos tables by broadcasting
-    into three contiguous component planes, a (3, res, res, res) buffer;
-    the result is its (res, res, res, 3) view, so ``bloch[..., e]`` is a
-    C-contiguous plane.  C(k) is formed once, and its buffer then holds
-    |u|^2 summed one plane at a time, as ``norms`` sums it, and |u|.
+    into three contiguous component planes, the (3, hi - lo, res, res)
+    buffer ``out`` (or a new one); the result is its view, so
+    ``bloch[..., e]`` is a C-contiguous plane.  C(k) is formed once, and its
+    buffer then holds |u|^2 summed one plane at a time, as ``norms`` sums
+    it, and |u|.
 
     Raises
     ------
     GaplessPoint
-        If |u(k)| < 1e-12 at a grid point.
+        If |u(k)| < 1e-12 at a point of the planes; the error names its k.
     """
+    hi = res if hi is None else hi
     grid = 2.0 * np.pi * np.arange(res) / res
     sin, cos = np.sin(grid), np.cos(grid)
-    x, y, z = (slice(None), None, None), (None, slice(None), None), (None, None, slice(None))
+    x, y, z = (slice(lo, hi), None, None), (None, slice(None), None), (None, None, slice(None))
     c = cos[x] + cos[y] + cos[z]
     c += params.h
-    planes = np.empty((3, res, res, res))
+    planes = np.empty((3, hi - lo, res, res)) if out is None else out
     _fill_u(np.moveaxis(planes, 0, -1), sin[x], sin[y], sin[z], c)
     n = np.square(planes[0], out=c)
     for plane in planes[1:]:
         n += np.square(plane)
     np.sqrt(n, out=n)
     if np.any(n < GAP_TOL):
-        worst = np.unravel_index(int(np.argmin(n)), n.shape)
-        _check_gapped(n[worst], grid[list(worst)])
+        i, j, l = np.unravel_index(int(np.argmin(n)), n.shape)
+        _check_gapped(n[i, j, l], grid[[lo + i, j, l]])
     np.negative(planes, out=planes)
     planes /= n
     return np.moveaxis(planes, 0, -1)

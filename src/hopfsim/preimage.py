@@ -1,18 +1,22 @@
 """Spin-preimage loops in the Brillouin zone and their linking numbers.
 
 The preimage of a target Bloch orientation s is the closed curve where the
-ground-state spin field equals s.  On a grid of Bloch vectors (three
-contiguous component planes, ``model.bloch_grid``) it is marched as a loop
-set of the piecewise-linear interpolant b on 6 Kuhn tetrahedra per cell:
+ground-state spin field equals s.  On a grid of Bloch vectors, sampled
+(``model.bloch_grid``) or given, it is marched as a loop set of the
+piecewise-linear interpolant b on 6 Kuhn tetrahedra per cell:
 the zero set of (b.t1, b.t2), (t1, t2) an orthonormal frame of s-perp, is
 the preimage of the line through s, which meets that of -s only where
-b = 0, and a loop belongs to s where b.s > 0.  A target packs the signs of
-b.t1 and b.t2 into one byte per vertex, ORed over each cell's corners to
-find the straddling cells, which are marched in array passes driven by a
-16-row table of cut edges; each segment points along the pullback of the
-frame.  One sort of the face ids pairs each segment's head with the next
-one's tail (``ResolutionTooCoarse`` if a face holds another number of ends,
-or two heads or two tails), and the loops are the cycles of that pairing.
+b = 0, and a loop belongs to s where b.s > 0.  One pass over slabs of
+x-planes serves every target: each packs the signs of b.t1 and b.t2 into
+one byte per vertex, ORed over each cell's corners to find the straddling
+cells, whose corner vectors are gathered; no array of the whole grid is
+formed (at res 256 a link matrix of three targets peaks at 20 MiB of
+traced allocations, where the grid alone is 384 MiB).  The cells are
+marched in array passes driven by a 16-row table of cut edges; each
+segment points along the pullback of the frame.  One sort of the face ids
+pairs each segment's head with the next one's tail (``ResolutionTooCoarse``
+if a face holds another number of ends, or two heads or two tails), and the
+loops are the cycles of that pairing.
 Loops are linked on the torus, lifted to the universal cover and summed
 against periodic images (``WindingLoops`` for loops that wind it), or in R3
 through the S3 map and a stereographic chart.  A Gauss sum cuts both curves
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import permutations, product
 from typing import NamedTuple
 
@@ -45,7 +50,7 @@ from .invariants import _roll_into
 TOL_SEP = 1e-3
 _GAUSS_BLOCK = 64  # segments of either curve per block of a Gauss sum
 _MARCH_BLOCK = 512  # straddling cells per block of the march
-_SLAB = 1 << 14  # grid points per slab of the sign bytes
+_SLAB = 4  # x-planes per slab of the march
 _LEVEL_NUDGE = (1.0e-9, 1.37e-9)  # dodges exact-zero grid values on symmetry planes
 
 TWO_PI = 2.0 * np.pi
@@ -128,6 +133,7 @@ def _unit_target(s):
 _TET_STEPS = np.eye(3, dtype=int)[list(permutations(range(3)))]  # (6 tets, 3 steps, 3)
 _TET_OFFSETS = np.insert(_TET_STEPS, 0, 0, axis=1).cumsum(axis=1)  # (6 tets, 4 corners, 3)
 _TET_CORNERS = _TET_OFFSETS @ (4, 2, 1)  # cube corner of each: dx * 4 + dy * 2 + dz
+_CUBE = np.array(list(product((0, 1), repeat=3)))  # the 8 corners of a cell, dx slowest
 
 
 def _tet_edge_table():
@@ -163,55 +169,69 @@ _TET_EDGES, _TET_FACES = _tet_edge_table()
 def preimage_contours(bloch, target):
     """Closed loops of the piecewise-linear preimage of a spin target, as T3
     polylines (possibly none), on ``bloch``: Bloch vectors at
-    k = 2*pi*(i, j, l)/res, shape (res, res, res, 3), as ``model.bloch_grid``
-    gives them.  The zero set of (b.t1, b.t2) is marched (``_frame``), and a
-    loop is kept when b.s > 0 at its first vertex: while no tetrahedron's
-    corner vectors hold the origin in their hull, the whole loop then lies
-    on the side of s.  The loops are not pulled onto the analytic curve
-    (``refined_preimage`` does that).  ``ResolutionTooCoarse`` if the
-    segments cannot be chained into loops; ``ValueError`` for a grid of
-    another shape, or a res outside [16, 256]."""
-    s = _unit_target(target)
+    k = 2*pi*(i, j, l)/res, shape (res, res, res, 3), sampled
+    (``model.bloch_grid``) or measured, and marched slab by slab as
+    ``link_matrix`` marches the model, which at res 256 allocates at most
+    20 MiB for three targets.  A loop is kept when b.s > 0 at its first
+    vertex: while no tetrahedron's corner vectors hold the origin in their
+    hull, the whole loop then lies on the side of s.  The loops are not
+    pulled onto the analytic curve (``refined_preimage`` does that).
+    ``ResolutionTooCoarse`` if the segments cannot be chained into loops;
+    ``ValueError`` for a grid of another shape, or a res outside [16, 512]."""
+    _unit_target(target)  # a bad target is refused before the grid is read
     bloch = np.asarray(bloch)
     res = bloch.shape[0] if bloch.ndim == 4 else 0
     if bloch.shape != (res, res, res, 3):
         raise ValueError(f"Bloch grid must have shape (res, res, res, 3), got {bloch.shape}")
     _check_res(res)
     planes = np.moveaxis(bloch, -1, 0)
-    points, faces = _march_segments(planes, *_frame(s), s)
-    out = []
-    for loop in _chain_segments(points, faces):
-        verts = np.mod(loop[:, :3] * (TWO_PI / res), TWO_PI)
-        verts = verts[(verts != np.roll(verts, 1, axis=0)).any(axis=1)]
-        if loop[0, 3] > 0 and len(verts) >= 3:  # b.s <= 0 is a loop of -s
-            out.append(Polyline(verts, "T3", True, tuple(s)))
-    return out
+    return _preimages(lambda lo, hi, out: np.copyto(out, planes[:, lo:hi]), res, [target])[0]
 
 
-def refined_preimage(bloch, params, target):
-    """The loops of ``preimage_contours(bloch, target)``, ``bloch`` sampled
-    from ``params`` (``model.bloch_grid(res, params)``), each pulled onto the
-    analytic curve by one Newton pass: the geometry of ``hopf preimage``.  At
+def refined_preimage(params, targets, res=64):
+    """The loops of every target, marched in one pass over the grid of
+    ``params`` at ``res``, each pulled onto the analytic curve by one Newton
+    pass: a list of loops per target, the geometry of ``hopf preimage``.  At
     res 64 the largest |S(k) - s| over the marched vertices is 0.0985, 0.0085
     and 0.0052 at h = 2.9, 2 and 0, and 0.0028, under 1e-4 and 0.0006 after
     the pass."""
-    s = _unit_target(target)
+    targets = [_unit_target(t) for t in targets]
+    _check_res(res)
     out = []
-    for c in preimage_contours(bloch, s):
-        n_here = model.bloch_ground(c.vertices, params)
-        inverse = np.linalg.pinv(_spin_jacobian(c.vertices, params), rcond=1e-8)
-        kverts = _dedupe(np.mod(c.vertices + np.einsum("mij,mj->mi", inverse, s - n_here), TWO_PI))
-        if len(kverts) >= 3:
-            out.append(Polyline(kverts, "T3", True, tuple(s), params.h))
-    out.sort(key=lambda c: c.vertices[:, 0].min())
+    for s, loops in zip(targets, _preimages(partial(model.bloch_grid, res, params), res, targets)):
+        refined = []
+        for c in loops:
+            n_here = model.bloch_ground(c.vertices, params)
+            inverse = np.linalg.pinv(_spin_jacobian(c.vertices, params), rcond=1e-8)
+            kverts = _dedupe(np.mod(c.vertices + np.einsum("mij,mj->mi", inverse, s - n_here), TWO_PI))
+            if len(kverts) >= 3:
+                refined.append(Polyline(kverts, "T3", True, tuple(s), params.h))
+        out.append(sorted(refined, key=lambda c: c.vertices[:, 0].min()))
     return out
 
 
 def _check_res(res):
     if not isinstance(res, (int, np.integer)):
         raise ValueError(f"res must be an integer, got {res!r}")
-    if not 16 <= res <= 256:
-        raise ValueError(f"res must be in [16, 256], got {res}")
+    if not 16 <= res <= 512:
+        raise ValueError(f"res must be in [16, 512], got {res}")
+
+
+def _preimages(sample, res, targets):
+    """The kept loops of each target, from one march (``_straddling`` takes
+    ``sample``); the zero set of (b.t1, b.t2) is marched (``_frame``)."""
+    targets = [_unit_target(t) for t in targets]
+    marches = [(*_frame(s), s) for s in targets]
+    out = []
+    for s, (points, faces) in zip(targets, _march_segments(sample, res, marches)):
+        loops = []
+        for loop in _chain_segments(points, faces):
+            verts = np.mod(loop[:, :3] * (TWO_PI / res), TWO_PI)
+            verts = verts[(verts != np.roll(verts, 1, axis=0)).any(axis=1)]
+            if loop[0, 3] > 0 and len(verts) >= 3:  # b.s <= 0 is a loop of -s
+                loops.append(Polyline(verts, "T3", True, tuple(s)))
+        out.append(loops)
+    return out
 
 
 def _frame(s):
@@ -237,52 +257,82 @@ def _along(b, t):
     return b[0] * t[0] + b[1] * t[1] + b[2] * t[2]
 
 
-def _march_segments(planes, frame, sign, s):
+def _march_segments(sample, res, marches):
     """Per-tetrahedron intersection segments of the two level sets
-    phi = b.t - level, for the (t, level) pairs of ``frame``, oriented.
+    phi = b.t - level, for the (t, level) pairs of each (frame, sign, s) of
+    ``marches``, oriented: a (points, faces) pair per march, yielded one
+    march at a time, so that each one's arrays can go before the next.
 
-    ``planes`` is the (3, res, res, res) Bloch grid.  ``points[i, side]`` is
-    an end of segment i in grid units, then b.s there, shape (m, 2, 4), and
-    ``faces[i, side]`` the sorted ids of the three grid vertices spanning
-    the tetrahedron face holding it, shape (m, 2, 3), in row-major cell,
-    then ``_TET_STEPS`` order; side 0 to side 1 runs along sign *
-    grad(phi1) x grad(phi2) of the linear interpolants.  fl(v - level) has
-    the sign of v - level, so no phi grid is formed: a vertex packs
-    phi1 < 0, phi1 > 0, phi2 < 0, phi2 > 0 into one byte (``_SLAB`` points
-    at a time), and a cell straddles both level sets when its corners' bytes
-    OR to 15.  ``_MARCH_BLOCK`` such cells x 6 tetrahedra make one array
-    pass: phi1 > 0 picks a row of ``_TET_EDGES`` (the edges {phi1 = 0} cuts,
-    in cycle order around the cut polygon), and a segment joins the two
-    crossings of {phi2 = 0} along the polygon's sides, each on the face of
-    its side's two edges; b.s is interpolated as the coordinates are."""
-    res = planes.shape[1]
-    code = np.zeros(planes.shape[1:], dtype=np.uint8)
-    work = np.empty_like(code)
-    step = max(1, _SLAB // (res * res))
-    for lo in range(0, res, step):  # OR phi1 < 0, phi1 > 0, phi2 < 0, phi2 > 0 into bits 0-3
-        bits, flags = code[lo:lo + step], work[lo:lo + step]
-        for k, (t, level) in enumerate(frame):
-            v = _along(planes[:, lo:lo + step], t)
-            for bit, op in ((2 * k, np.less), (2 * k + 1, np.greater)):
-                op(v, level, out=flags.view(bool))
-                bits |= np.left_shift(flags, bit, out=flags)
-    for ax in range(3):  # OR over the 2x2x2 corners, one axis at a time
-        code |= _roll_into(work, code, ax)
-    straddle = np.flatnonzero(np.equal(code, 15, out=work.view(bool)))
-    cells = np.stack(np.unravel_index(straddle, code.shape), axis=1)
-    del code, work, bits, flags  # so no grid-sized array adds to the blocks' peak
-    flat = planes.reshape(3, -1)
-    blocks = [_march_cells(cells[i:i + _MARCH_BLOCK], flat, res, frame, sign, s)
-              for i in range(0, max(len(cells), 1), _MARCH_BLOCK)]
-    return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
+    ``points[i, side]`` is an end of segment i in grid units, then b.s
+    there, shape (m, 2, 4), and ``faces[i, side]`` the sorted ids of the
+    three grid vertices spanning the tetrahedron face holding it, shape
+    (m, 2, 3), in row-major cell, then ``_TET_STEPS`` order; side 0 to
+    side 1 runs along sign * grad(phi1) x grad(phi2) of the linear
+    interpolants.  ``_MARCH_BLOCK`` cells x 6 tetrahedra make one array pass."""
+    found = _straddling(sample, res, marches)
+    for frame, sign, s in marches:
+        cells, corners = found.pop(0)
+        cells, corners = np.concatenate(cells), np.concatenate(corners, axis=1)
+        blocks = [_march_cells(cells[i:i + _MARCH_BLOCK], corners[:, i:i + _MARCH_BLOCK],
+                               res, frame, sign, s)
+                  for i in range(0, max(len(cells), 1), _MARCH_BLOCK)]
+        del cells, corners
+        yield tuple(np.concatenate(arrays) for arrays in zip(*blocks))
 
 
-def _march_cells(cells, flat, res, frame, sign, s):
-    """The march on a block of straddling cells: grid ids of each cell's 8
-    corners (dx slowest), their Bloch vectors, then every (cell, tet) row's."""
-    cube = np.array([(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
-    ids = ((cells[:, None, :] + cube) % res) @ (res * res, res, 1)
-    b = flat[:, ids]
+def _straddling(sample, res, marches):
+    """The cells (m, 3) that straddle both level sets of each march, in
+    row-major order, and their corner vectors (3, m, 8), as lists of the
+    arrays of each slab (joined one march at a time), from one pass over
+    ``_SLAB`` x-planes at a time; ``sample(lo, hi, out)`` writes planes
+    lo..hi-1 into ``out`` (3, hi - lo, res, res).  A slab's cells need the
+    next plane too, which is carried into the next slab (plane 0 follows
+    plane res - 1).  fl(v - level) has the sign of v - level, so a vertex
+    packs phi1 < 0, phi1 > 0, phi2 < 0, phi2 > 0 into one byte per march,
+    and a cell straddles when its corners' bytes OR to 15."""
+    step = min(_SLAB, res)
+    planes = np.empty((3, step + 1, res, res))
+    codes = np.empty((len(marches), step + 1, res, res), dtype=np.uint8)
+    work = np.empty((2, step + 1, res, res), dtype=np.uint8)
+    found = [([], []) for _ in marches]
+    for lo in range(0, res, step):
+        n = min(step, res - lo)  # cells lo..lo+n-1 need planes lo..lo+n
+        new = slice(min(lo, 1), min(n, res - 1 - lo) + 1)  # plane lo is carried after slab 0
+        sample(lo + new.start, lo + new.stop, planes[:, new])
+        flags = work[0, new]
+        for code, (frame, _, _) in zip(codes[:, new], marches):
+            code.fill(0)
+            for k, (t, level) in enumerate(frame):
+                v = _along(planes[:, new], t)
+                for bit, op in ((2 * k, np.less), (2 * k + 1, np.greater)):
+                    op(v, level, out=flags.view(bool))
+                    code |= np.left_shift(flags, bit, out=flags)
+        if lo == 0:
+            wrap = planes[:, 0].copy(), codes[:, 0].copy()
+        if new.stop == n:
+            planes[:, n], codes[:, n] = wrap
+        flat = planes[:, :n + 1].reshape(3, -1)
+        cell, shifted = work[0, :n], work[1, :n]
+        for code, (cells, corners) in zip(codes, found):
+            np.bitwise_or(code[:n], code[1:n + 1], out=cell)  # OR over the 2x2x2 corners
+            for ax in (1, 2):
+                cell |= _roll_into(shifted, cell, ax)
+            straddle = np.flatnonzero(np.equal(cell, 15, out=shifted.view(bool)))
+            cells.append(np.stack(np.unravel_index(straddle, cell.shape), axis=1) + (lo, 0, 0))
+            ids = ((cells[-1][:, None, :] + _CUBE) % res) @ (res * res, res, 1)
+            corners.append(flat[:, (ids - lo * res * res) % res**3])
+        planes[:, 0], codes[:, 0] = planes[:, n], codes[:, n]
+    return found
+
+
+def _march_cells(cells, b, res, frame, sign, s):
+    """The march on a block of straddling cells and their corner vectors b:
+    every (cell, tet) row's values, then phi1 > 0 picks a row of
+    ``_TET_EDGES`` (the edges {phi1 = 0} cuts, in cycle order around the cut
+    polygon), and a segment joins the two crossings of {phi2 = 0} along the
+    polygon's sides, each on the face of its side's two edges; b.s is
+    interpolated as the coordinates are."""
+    ids = ((cells[:, None, :] + _CUBE) % res) @ (res * res, res, 1)
     f, g = ((_along(b, t) - level)[:, _TET_CORNERS].reshape(-1, 4) for t, level in frame)
     w = _along(b, s)[:, _TET_CORNERS].reshape(-1, 4)
 
@@ -318,6 +368,7 @@ def _march_cells(cells, flat, res, frame, sign, s):
     point = point.reshape(-1, 2, 4)
     corners = _TET_CORNERS[tet[j, None], _TET_FACES[key[j], side]]
     faces = np.sort(ids[cell[j, None], corners], axis=1).reshape(-1, 2, 3)
+    del pick, edges, t, gv, pe, pts, w, w0, w1  # so they do not add to the peak below
 
     # corner i + 1 of a tetrahedron is corner i + e_p[i], so a linear
     # interpolant's gradient has component p[i] equal to their difference
@@ -786,17 +837,16 @@ class LinkMatrix:
 def link_matrix(params, targets, res=64):
     """Extract the preimage of every target and link them pairwise.
 
-    After the targets and res are checked, one Bloch grid is sampled, each
-    target is marched on it and the loops are linked as marched, with no
+    After the targets and res are checked, the Bloch grid is sampled and
+    every target marched on it in one pass over slabs of x-planes, with no
+    array of the whole grid, and the loops are linked as marched, with no
     further model call.  Entries are intrinsic torus linking numbers (see
     linking_number_t3), summed over loop pairs when a preimage has several
     components; empty preimages are marked absent rather than silently
     skipped."""
     targets = [tuple(_unit_target(t)) for t in targets]
     _check_res(res)
-    bloch = model.bloch_grid(res, params)
-    loops_t3 = [preimage_contours(bloch, t) for t in targets]
-    del bloch  # the Gauss sums below need only the loops
+    loops_t3 = _preimages(partial(model.bloch_grid, res, params), res, targets)
     absent = [i for i, loops in enumerate(loops_t3) if not loops]
 
     m = len(targets)

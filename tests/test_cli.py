@@ -122,9 +122,9 @@ def test_spin_off_unit_norm_is_a_usage_error(tmp_path, capsys, argv):
     (["index", "--h", "1e308", "--n", "4"], "|h| must be <= 1e+75"),
     (["index", "--h=-1e76", "--n", "4"], "|h| must be <= 1e+75"),
     (["link", "--h", "2", "--spins", "1,0,0;0,1,0", "--res", "100000000"],
-     "--res must be in [16, 256], got 100000000"),
-    (["preimage", "--h", "2", "--spin", "1,0,0", "--res", "257"],
-     "--res must be in [16, 256], got 257"),
+     "--res must be in [16, 512], got 100000000"),
+    (["preimage", "--h", "2", "--spin", "1,0,0", "--res", "513"],
+     "--res must be in [16, 512], got 513"),
 ])
 def test_out_of_range_h_or_res_is_a_usage_error(tmp_path, capsys, argv, message):
     assert run_cli(argv, tmp_path) == 2
@@ -243,17 +243,20 @@ def test_preimage_artifact(tmp_path, capsys):
 
 
 def test_preimage_of_several_spins_samples_one_grid(tmp_path, capsys, monkeypatch):
-    grids = []
+    # one pass over the planes marches both spins: each x-plane is sampled
+    # once, in slabs, and no (3, res, res, res) array is asked for
+    planes = []
     original = cli.model.bloch_grid
 
-    def counting(res, params):
-        grids.append(res)
-        return original(res, params)
+    def counting(res, params, lo=0, hi=None, out=None):
+        assert res == 32 and hi is not None and hi - lo < res
+        planes.extend(range(lo, hi))
+        return original(res, params, lo, hi, out)
 
     monkeypatch.setattr(cli.model, "bloch_grid", counting)
     code = run_cli(["preimage", "--h", "2.9", "--spin", "1,0,0", "--spin", "0,1,0",
                     "--res", "32", "--out", str(tmp_path / "pre.json")], tmp_path)
-    assert code == 0 and grids == [32]
+    assert code == 0 and planes == list(range(32))
     capsys.readouterr()
     for tag in ("+1.00_+0.00_+0.00", "+0.00_+1.00_+0.00"):
         doc = json.loads((tmp_path / f"pre_s{tag}.json").read_text())
@@ -362,6 +365,11 @@ def test_engine_error_json_exit_1(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "OrthogonalNeighbors"
     assert err["message"] == "orthogonal neighbors at site (3, 2, 2) along axis 0"
+    # the link march samples slab by slab; a slab that closes the gap stops it
+    assert run_cli(["link", "--h=-1", "--spins", "1,0,0;0,1,0;0,0,-1", "--res", "16"],
+                   tmp_path) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "GaplessPoint" and "k=" in err["message"]
 
 
 class _ArrayTooLarge(MemoryError):

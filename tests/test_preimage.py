@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ def test_polyline_json_roundtrip():
 def test_preimage_single_loops_at_h29():
     p = HopfParams(2.9)
     for target in ((1, 0, 0), (0, 1, 0), (0, 0, -1)):
-        loops = refined_preimage(model.bloch_grid(64, p), p, target)
+        (loops,) = refined_preimage(p, [target], 64)
         assert len(loops) == 1
         c = loops[0]
         assert c.closed and c.coords == "T3" and len(c) >= 3
@@ -121,14 +122,13 @@ def test_preimage_single_loops_at_h29():
 
 def test_preimage_vanishes_at_h31():
     p = HopfParams(3.1)
-    bloch = model.bloch_grid(64, p)
-    assert refined_preimage(bloch, p, (0, 0, -1)) == []
-    assert preimage_contours(bloch, (0, 0, -1)) == []
+    assert refined_preimage(p, [(0, 0, -1)], 64) == [[]]
+    assert preimage_contours(model.bloch_grid(64, p), (0, 0, -1)) == []
 
 
 def test_preimage_diagonal_target():
     p = HopfParams(2.0)
-    loops = refined_preimage(model.bloch_grid(64, p), p, np.array([-1, -1, 0]) / np.sqrt(2))
+    (loops,) = refined_preimage(p, [np.array([-1, -1, 0]) / np.sqrt(2)], 64)
     assert len(loops) == 1
     dev = np.linalg.norm(
         bloch_ground(loops[0].vertices, p) - np.array([-1, -1, 0]) / np.sqrt(2), axis=1
@@ -138,7 +138,7 @@ def test_preimage_diagonal_target():
 
 def test_preimage_closure_mod_2pi():
     p = HopfParams(2.9)
-    (c,) = refined_preimage(model.bloch_grid(32, p), p, (1, 0, 0))
+    ((c,),) = refined_preimage(p, [(1, 0, 0)], 32)
     gap = c.vertices[0] - c.vertices[-1]
     gap = (gap + np.pi) % TWO_PI - np.pi
     cell = TWO_PI / 32 * np.sqrt(3)
@@ -222,10 +222,19 @@ def _reference_march(phi1, phi2, w, res, sign):
 
 def _march_inputs(h, target, res):
     """The Bloch planes, the two (t, level) pairs of the target's frame, the
-    orientation sign and the unit target, as the march takes them."""
+    orientation sign and the unit target."""
     s = np.asarray(target, float) / np.linalg.norm(target)
     planes = np.moveaxis(model.bloch_grid(res, HopfParams(h)), -1, 0)
     return (planes, *_frame(s), s)
+
+
+def _march(planes, frame, sign, s):
+    """The march of one target on a (3, res, res, res) array of planes."""
+    def copy(lo, hi, out):
+        np.copyto(out, planes[:, lo:hi])
+
+    (segments,) = _march_segments(copy, planes.shape[1], [(frame, sign, s)])
+    return segments
 
 
 def _dot(planes, t):
@@ -238,7 +247,7 @@ def _assert_same_segments(h, target, res):
     # the march compares b.t with each level slab by slab; the reference
     # marches phi = b.t - level and carries b.s on full-grid arrays
     planes, frame, sign, s = _march_inputs(h, target, res)
-    points, faces = _march_segments(planes, frame, sign, s)
+    points, faces = _march(planes, frame, sign, s)
     (t1, level1), (t2, level2) = frame
     want = _reference_march(_dot(planes, t1) - level1, _dot(planes, t2) - level2,
                             _dot(planes, s), res, sign)
@@ -268,18 +277,21 @@ def test_march_matches_scalar_reference_on_axis_targets(h, target):
 
 
 def _assert_march_allocates_less_than_one_float_grid(h, target):
-    # one byte of flags per vertex (and its shifted copy), slabs of b.t and
-    # arrays over the straddling cells: no phi grid or other res^3 array of
-    # floats
+    # slabs of sampled planes, of sign bytes and of b.t, and arrays over the
+    # straddling cells: no Bloch grid, phi grid or other res^3 array of
+    # floats, and on a caller's grid no copy of it
     res = 64
-    inputs = _march_inputs(h, target, res)
-    tracemalloc.start()
-    try:
-        points, _ = _march_segments(*inputs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(points) and peak < res**3 * np.dtype(float).itemsize
+    planes, frame, sign, s = _march_inputs(h, target, res)
+    for march in (lambda: _march(planes, frame, sign, s),
+                  lambda: next(_march_segments(partial(model.bloch_grid, res, HopfParams(h)),
+                                               res, [(frame, sign, s)]))):
+        tracemalloc.start()
+        try:
+            points, _ = march()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(points) and peak < res**3 * np.dtype(float).itemsize
 
 
 @pytest.mark.parametrize("h", [0.0, 2.0, 2.9])
@@ -293,6 +305,40 @@ def test_march_allocates_less_than_one_float_grid_off_axis():
     ((t1, _), (t2, _)), _ = _frame(np.array([0.48, -0.6, 0.64]))
     assert np.count_nonzero(t1) > 1 and np.count_nonzero(t2) > 1
     _assert_march_allocates_less_than_one_float_grid(2.0, (0.48, -0.6, 0.64))
+
+
+@pytest.mark.parametrize("res", [33, 48])
+def test_slab_height_changes_nothing(monkeypatch, res):
+    # slabs of 1 plane, of 5 (no divisor of res) and one slab of the whole
+    # grid give the same segments and loops bit for bit, from the sampler and
+    # from a caller's grid: the carried boundary plane and the wrap from plane
+    # res - 1 to plane 0 join the slabs as the grid joins its cells
+    targets = [np.array(t, float) for t in ((1, 0, 0), (0, -1, 0), (0.48, -0.6, 0.64))]
+    marches = [(*_frame(s), s) for s in targets]
+
+    def run(h):
+        params = HopfParams(h)
+        segments = list(_march_segments(partial(model.bloch_grid, res, params), res, marches))
+        loops = preimage._preimages(partial(model.bloch_grid, res, params), res, targets)
+        bloch = model.bloch_grid(res, params)
+        return segments, loops, [preimage_contours(bloch, s) for s in targets]
+
+    wrapped = False  # a segment in a cell between plane res - 1 and plane 0
+    for h in (2.0, 0.0):
+        want = run(h)
+        assert sum(len(loops) for loops in want[1]) >= 3
+        wrapped |= any((p[..., 0] > res - 1).any() for p, _ in want[0])
+        for height in (1, 5, res, res + 7):
+            monkeypatch.setattr(preimage, "_SLAB", height)
+            segments, *loops = run(h)
+            for (p, f), (q, g) in zip(segments, want[0]):
+                assert np.array_equal(p.view(np.int64), q.view(np.int64))
+                assert np.array_equal(f, g)
+            for got, ref in zip(loops, want[1:]):
+                assert [[c.vertices.tobytes() for c in ls] for ls in got] == \
+                    [[c.vertices.tobytes() for c in ls] for ls in ref]
+            monkeypatch.undo()
+    assert wrapped
 
 
 def _frame_vote(verts, s, params):
@@ -321,10 +367,9 @@ def test_loops_run_the_way_a_decisive_frame_vote_points(h, res):
     rng = np.random.default_rng([res, int(10 * h) % 64])
     random = rng.normal(size=(6, 3))
     targets = np.vstack([np.eye(3), -np.eye(3), random / np.linalg.norm(random, axis=1)[:, None]])
-    bloch = model.bloch_grid(res, params)
     votes = []
-    for s in targets:
-        votes += [_frame_vote(c.vertices, s, params) for c in refined_preimage(bloch, params, s)]
+    for s, loops in zip(targets, refined_preimage(params, targets, res)):
+        votes += [_frame_vote(c.vertices, s, params) for c in loops]
     decisive = [v.sum() for v in votes if abs(v.sum()) >= 0.5 * np.abs(v).sum()]
     assert len(decisive) >= 0.9 * len(votes) and min(decisive) > 0
 
@@ -406,40 +451,56 @@ def test_dedupe_leaves_no_cyclic_neighbours_within_tol(steps):
         assert min(math.dist(a, b) for a, b in zip(rows, rows[1:] + rows[:1])) > 1e-9
 
 
-def test_bloch_grid_sampled_once_per_link_matrix(monkeypatch):
-    # one grid per call, none kept between calls, and the march only reads it
-    grids = []
+def _counting_planes(monkeypatch):
+    """Record every x-plane the sampler writes, in call order; each call
+    must ask for a slab of planes into a buffer of the march, not a grid."""
+    planes = []
     original = model.bloch_grid
 
-    def counting(res, params):
-        out = original(res, params)
-        out.flags.writeable = False
-        grids.append(out.shape)
-        return out
+    def counting(res, params, lo=0, hi=None, out=None):
+        assert hi is not None and out is not None and hi - lo <= preimage._SLAB + 1
+        planes.extend(range(lo, hi))
+        return original(res, params, lo, hi, out)
 
     monkeypatch.setattr(model, "bloch_grid", counting)
+    return planes
+
+
+def test_bloch_grid_sampled_once_per_link_matrix(monkeypatch):
+    # every plane once per call, for all targets, and none kept between calls
+    bloch = model.bloch_grid(16, HopfParams(2.0))
+    planes = _counting_planes(monkeypatch)
     targets = [(1, 0, 0), (0, 1, 0), (0, 0, -1)]
     first = link_matrix(HopfParams(2.0), targets, res=16)
-    assert grids == [(16, 16, 16, 3)]
+    assert planes == list(range(16))
     second = link_matrix(HopfParams(2.0), targets, res=16)
-    assert grids == [(16, 16, 16, 3)] * 2
+    assert planes == list(range(16)) * 2
     assert first.to_dict() == second.to_dict() and first.values[0][1] == -1
-    # a refused call samples one grid too: 16 cells per axis do not resolve
-    # the texture at h=2.9, where the marched loop of (0, 0, -1) winds the
-    # torus and (1, 0, 0) has none, so the call ends in a typed error
+    # a refused call samples every plane once too: 16 cells per axis do not
+    # resolve the texture at h=2.9, where the marched loop of (0, 0, -1)
+    # winds the torus and (1, 0, 0) has none, so the call ends in a typed error
     with pytest.raises(WindingLoops):
         link_matrix(HopfParams(2.9), targets, res=16)
-    assert len(grids) == 3
+    assert planes == list(range(16)) * 3
+    # a caller's grid is only read
+    bloch.flags.writeable = False
+    assert [len(preimage_contours(bloch, t)) for t in targets] == first.loop_counts
 
 
 def test_bloch_grid_component_planes_are_contiguous():
     bloch = model.bloch_grid(16, HopfParams(2.0))
     assert bloch.shape == (16, 16, 16, 3)
     assert all(bloch[..., e].flags.c_contiguous for e in range(3))
-    # the march's (3, res^3) view of the planes is the buffer itself
+    # the (3, res^3) view of the planes is the buffer itself, and a range of
+    # planes written into a slab buffer of the march is a view of that
+    # buffer, equal bit for bit to those planes of the whole grid
     planes = np.moveaxis(bloch, -1, 0)
     assert planes.flags.c_contiguous
     assert np.shares_memory(planes.reshape(3, -1), bloch)
+    out = np.empty((3, 6, 16, 16))
+    slab = model.bloch_grid(16, HopfParams(2.0), 5, 9, out[:, 1:5])
+    assert np.shares_memory(slab, out)
+    assert np.array_equal(slab.view(np.int64), bloch[5:9].view(np.int64))
     bloch.flags.writeable = False
     with pytest.raises(ValueError, match="read-only"):
         bloch[..., 0][0, 0, 0] = 0.0
@@ -457,26 +518,37 @@ def test_bloch_grid_equals_bloch_ground_on_the_meshgrid(res):
 
 
 def test_bloch_grid_raises_gapless_point_with_its_k():
+    # at h=-1 the gap closes at k = (0, 0, pi) and its permutations: the whole
+    # grid, and each slab of planes holding one of them, names a closing k
+    for lo, hi in ((0, 16), (0, 1), (8, 9), (5, 9), (8, 16)):
+        with pytest.raises(GaplessPoint) as exc:
+            model.bloch_grid(16, HopfParams(-1.0), lo, hi)
+        assert np.linalg.norm(model.u_of_k(exc.value.k, HopfParams(-1.0))) < model.GAP_TOL
+    assert model.bloch_grid(16, HopfParams(-1.0), 1, 8).shape == (7, 16, 16, 3)
+
+
+def test_link_matrix_on_a_gapless_grid_raises_gapless_point():
     with pytest.raises(GaplessPoint) as exc:
-        model.bloch_grid(16, HopfParams(-1.0))
+        link_matrix(HopfParams(-1.0), [(1, 0, 0), (0, 1, 0), (0, 0, -1)], res=16)
     assert np.linalg.norm(model.u_of_k(exc.value.k, HopfParams(-1.0))) < model.GAP_TOL
 
 
 def test_preimage_res_validation(monkeypatch):
-    with pytest.raises(ValueError, match=re.escape("res must be in [16, 256], got 8")):
+    with pytest.raises(ValueError, match=re.escape("res must be in [16, 512], got 8")):
         preimage_contours(np.zeros((8, 8, 8, 3)), (1, 0, 0))
     with pytest.raises(ValueError, match="unit vector"):
         preimage_contours(np.zeros((32, 32, 32, 3)), (1, 0, 2))
-    # a grid of 257^3 points is refused from its shape alone (a view, no memory)
-    with pytest.raises(ValueError, match=re.escape("res must be in [16, 256], got 257")):
-        preimage_contours(np.broadcast_to(np.zeros(3), (257, 257, 257, 3)), (1, 0, 0))
+    # a grid of 513^3 points is refused from its shape alone (a view, no memory)
+    with pytest.raises(ValueError, match=re.escape("res must be in [16, 512], got 513")):
+        preimage_contours(np.broadcast_to(np.zeros(3), (513, 513, 513, 3)), (1, 0, 0))
 
     def no_grid(*args):
         raise AssertionError("a grid was sampled")
 
     monkeypatch.setattr(model, "bloch_grid", no_grid)
-    with pytest.raises(ValueError, match=re.escape("res must be in [16, 256], got 257")):
-        link_matrix(HopfParams(2.1), [(1, 0, 0), (0, 1, 0)], res=257)
+    for refused in (link_matrix, refined_preimage):
+        with pytest.raises(ValueError, match=re.escape("res must be in [16, 512], got 513")):
+            refused(HopfParams(2.1), [(1, 0, 0), (0, 1, 0)], res=513)
 
 
 @pytest.mark.parametrize("target, shape", [([1, 0, 0, 0], (4,)), ([[1, 0, 0]], (1, 3))])
@@ -489,7 +561,9 @@ def test_targets_that_are_not_3_vectors_are_refused_before_sampling(monkeypatch,
     monkeypatch.setattr(model, "bloch_grid", no_grid)
     message = re.escape(f"spin target must be a 3-vector, got shape {shape}")
     with pytest.raises(ValueError, match=message):
-        refined_preimage(np.zeros((16, 16, 16, 3)), HopfParams(2.0), target)
+        refined_preimage(HopfParams(2.0), [(0, 1, 0), target], 16)
+    with pytest.raises(ValueError, match=message):
+        preimage_contours(np.zeros((16, 16, 16, 3)), target)
     with pytest.raises(ValueError, match=message):
         link_matrix(HopfParams(2.0), [(0, 1, 0), target], res=16)
 
@@ -538,7 +612,7 @@ def test_preimage_contours_samples_each_vertex_array_once(monkeypatch, h, target
     monkeypatch.setattr(model, "bloch_ground", recording)
     bloch = model.bloch_grid(32, HopfParams(h))
     assert preimage_contours(bloch, target) and not batches
-    loops = refined_preimage(bloch, HopfParams(h), target)
+    (loops,) = refined_preimage(HopfParams(h), [target], 32)
     assert loops and len(batches) >= 7 * len(loops)
     repeated = len(batches) - len(set(batches))
     assert repeated == 0
@@ -550,7 +624,7 @@ def test_non_finite_targets_are_refused(target):
     # stops it from giving an empty preimage
     bloch = model.bloch_grid(16, HopfParams(2.0))
     with pytest.raises(ValueError, match="finite"):
-        refined_preimage(bloch, HopfParams(2.0), target)
+        refined_preimage(HopfParams(2.0), [target], 16)
     with pytest.raises(ValueError, match="finite"):
         preimage_contours(bloch, target)
     with pytest.raises(ValueError, match="finite"):
@@ -596,7 +670,7 @@ def test_epsilon_neighborhood_validation():
 
 def test_embed_preserves_count_and_closure():
     p = HopfParams(2.9)
-    (c,) = refined_preimage(model.bloch_grid(32, p), p, (1, 0, 0))
+    ((c,),) = refined_preimage(p, [(1, 0, 0)], 32)
     r3 = embed_r3(c, p)
     assert len(r3) == len(c) and r3.closed and r3.coords == "R3"
     assert np.isfinite(r3.vertices).all()
@@ -1083,12 +1157,34 @@ def test_link_matrix_makes_no_model_call_after_sampling(monkeypatch):
     def no_call(*args):
         raise AssertionError("the model was called")
 
+    planes = _counting_planes(monkeypatch)
     monkeypatch.setattr(model, "bloch_ground", no_call)
     monkeypatch.setattr(model, "u_of_k", no_call)
     lm = link_matrix(HopfParams(2.9), [(1, 0, 0), (0, 1, 0), (0, 0, -1)], res=32)
     assert lm.values[0][1] == lm.values[0][2] == lm.values[1][2] == -1
+    assert planes == list(range(32))
     lm = link_matrix(HopfParams(0.0), [(1, 0, 0), (0, 1, 0)], res=48)
     assert lm.values[0][1] == 2
+    assert planes == list(range(32)) + list(range(48))
+
+
+def test_link_matrix_at_res_256_stays_under_64_mb():
+    # near the transition the texture needs a fine grid (res 32 misses it at
+    # h = 2.99), and the march holds slabs of planes, never the 400 MB grid
+    rng = np.random.default_rng(0)
+    pairs = rng.normal(size=(2, 2, 3))
+    inputs = [(h, [(1, 0, 0), (0, 1, 0), (0, 0, -1)]) for h in (2.99, -2.99)]
+    inputs += [(2.99, pair / np.linalg.norm(pair, axis=1)[:, None]) for pair in pairs]
+    answered = 0
+    for h, targets in inputs:
+        tracemalloc.start()
+        try:
+            answered += _assert_right_or_refused(h, targets, 256) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6, (h, peak)
+    assert answered >= 2
 
 
 _TARGETS3 = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0)]
