@@ -368,12 +368,16 @@ def _stream_key(seed):
 def _draw(bloch, n, keys):
     """Successes (m, 3) of n (3,) shots in the bases of ``BASES`` for Bloch
     vectors (m, 3), row j on the Philox stream keyed by keys[j]."""
-    successes = np.empty(bloch.shape, dtype=np.int64)
-    n = np.asarray(n, dtype=np.int64)
-    for j, (key, p) in enumerate(zip(keys, np.clip((1.0 + bloch) / 2.0, 0.0, 1.0))):
-        rng = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
-        successes[j] = rng.binomial(n, p)
-    return successes
+    n = [int(x) for x in n]
+    bits = np.random.Philox(key=0)
+    fresh = bits.state  # counter 0, empty buffer: the state Philox(key=...) starts in
+    rng = np.random.Generator(bits)
+    successes = []
+    for key, p in zip(keys, np.clip((1.0 + bloch) / 2.0, 0.0, 1.0).tolist()):
+        fresh["state"]["key"] = np.array(key, dtype=np.uint64)
+        bits.state = fresh
+        successes.append([rng.binomial(nb, pb) for nb, pb in zip(n, p)])
+    return np.array(successes, dtype=np.int64).reshape(bloch.shape)
 
 
 def simulate_measurements(state, photons, seed=0):

@@ -20,6 +20,7 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -197,12 +198,21 @@ def _timestamp():
 
 
 def write_atomic(path, text):
+    """Write ``text`` to ``path`` through a temporary file in its directory.
+
+    The file gets the mode ``open(path, "w")`` would give it (0o666 less the
+    umask). If anything fails, the temporary file is removed and an existing
+    ``path`` is left as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates the file 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -210,8 +220,75 @@ def write_atomic(path, text):
         raise
 
 
+# Artifact JSON is json.dumps(obj, sort_keys=True, indent=1). json runs its C
+# encoder only without indent, so lists of numbers -- the rows of a field or
+# a texture -- are written from their Python repr, a block of rows at a time.
+_NUMBER_TYPES = {float, int}
+_ROW_BLOCK = 2048
+
+
+def _rows_text(rows, item_sep, row_sep):
+    """Non-empty lists of numbers as their reprs, items and rows joined by
+    the separators (numbers' reprs hold no ', ' and no brackets)."""
+    return repr(rows)[2:-2].replace(", ", item_sep).replace("]" + item_sep + "[", row_sep)
+
+
+def _number_block(items, indent):
+    """json's text of ``items`` as list entries at ``indent`` spaces, joined
+    by its separator; None unless the items are all numbers or all
+    non-empty lists of numbers, a number being an int or a finite float of
+    exactly that type."""
+    kinds = set(map(type, items))
+    pad = "\n" + " " * indent
+    if kinds <= _NUMBER_TYPES:
+        text = repr(items)[1:-1].replace(", ", "," + pad)
+    elif (kinds == {list} and all(items)
+          and set(map(type, chain.from_iterable(items))) <= _NUMBER_TYPES):
+        inner = pad + " "
+        rows = _rows_text(items, "," + inner, pad + "]," + pad + "[" + inner)
+        text = "[" + inner + rows + pad + "]"
+    else:
+        return None
+    return None if "n" in text else text  # nan, inf: json writes NaN, Infinity
+
+
+def _encode(obj, out, depth):
+    close = "\n" + " " * depth
+    pad = close + " "
+    if type(obj) is dict and obj:
+        sep = "{" + pad
+        for key, value in sorted(obj.items()):  # json's order
+            out.append(sep + json.dumps({key: None})[1:-7] + ": ")  # json's key text
+            _encode(value, out, depth + 1)
+            sep = "," + pad
+        out.append(close + "}")
+    elif type(obj) is list and obj:
+        sep = "[" + pad
+        for start in range(0, len(obj), _ROW_BLOCK):
+            block = obj[start:start + _ROW_BLOCK]
+            text = _number_block(block, depth + 1)
+            if text is not None:
+                out.append(sep + text)
+                sep = "," + pad
+            else:
+                for item in block:
+                    out.append(sep)
+                    _encode(item, out, depth + 1)
+                    sep = "," + pad
+        out.append(close + "]")
+    else:
+        out.append(json.dumps(obj, sort_keys=True, indent=1).replace("\n", close))
+
+
+def dumps(obj):
+    """``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte."""
+    out = []
+    _encode(obj, out, 0)
+    return "".join(out)
+
+
 def write_json_atomic(path, obj):
-    write_atomic(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    write_atomic(path, dumps(obj) + "\n")
 
 
 def _outpath(cfg, default_name):
@@ -268,11 +345,14 @@ def _cmd_texture(cfg):
         doc = {"h": cfg.h[0], "n": cfg.n[0], "rows": rows.tolist(),
                "columns": _TEXTURE_COLUMNS}
         return [_emit(cfg, name + ".json", doc)]
-    lines = [",".join(_TEXTURE_COLUMNS)]
-    lines += [f"{int(r[0])},{int(r[1])},{int(r[2])},"
-              f"{float(r[3])!r},{float(r[4])!r},{float(r[5])!r}" for r in rows]
+    body = [",".join(_TEXTURE_COLUMNS)]
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = rows[start:start + _ROW_BLOCK]
+        lines = [site + spin for site, spin in
+                 zip(block[:, :3].astype(int).tolist(), block[:, 3:].tolist())]
+        body.append(_rows_text(lines, ",", "\n"))
     path = _outpath(cfg, name + ".csv")
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(body) + "\n")
     return [path]
 
 def _cmd_preimage(cfg):

@@ -644,6 +644,31 @@ def test_campaign_draws_the_records_of_simulate_measurements(monkeypatch):
         assert drawn[0][index].tolist() == [rec.successes[b] for b in "xyz"]
 
 
+def test_draw_keeps_each_sites_stream_from_one_bit_generator(monkeypatch):
+    # site j draws its three bases, in order, from a fresh Philox keyed by keys[j]
+    from hopfsim import adiabatic
+
+    rng = np.random.default_rng(8)
+    bloch = rng.normal(size=(40, 3))
+    bloch /= np.linalg.norm(bloch, axis=1)[:, None]
+    bloch[:2] = [[1, 0, 0], [0, -1, 0]]
+    n = [31000, 5, 2**63 - 1]
+    keys = [(3, i) for i in range(39)] + [(2**64 - 1, 2**64 - 1)]
+    expected = [np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+                .binomial(n, np.clip((1 + b) / 2, 0, 1)).tolist() for key, b in zip(keys, bloch)]
+    made = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(adiabatic.np.random, "Philox", counting)
+    drawn = adiabatic._draw(bloch, n, iter(keys))
+    assert len(made) == 1 and drawn.dtype == np.int64
+    assert drawn.tolist() == expected
+
+
 @pytest.mark.parametrize("photons, seed, match", [
     (2, 0, "photons"),
     (3 * (2**63 - 1) + 1, 0, "photons"),  # more shots per basis than int64 holds

@@ -1,8 +1,11 @@
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfsim import cli, preimage
 from hopfsim.bzgrid import (
@@ -354,6 +357,93 @@ def test_texture_csv(tmp_path, capsys):
     assert rows.shape == (64, 6)
     f = sample_state_field(HopfParams(2.0), MeshSpec(4))
     np.testing.assert_allclose(rows[:, 3:], texture_rows(f)[:, 3:], rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("n", [4, 7, 16])
+def test_texture_csv_matches_per_row_formatting(tmp_path, capsys, n):
+    out = tmp_path / "tex.csv"
+    argv = ["texture", "--h", "2", "--n", str(n), "--format", "csv", "--out", str(out)]
+    assert run_cli(argv, tmp_path) == 0
+    capsys.readouterr()
+    rows = texture_rows(sample_state_field(HopfParams(2.0), MeshSpec(n)))
+    lines = ["jx,jy,jz,sx,sy,sz"] + [
+        f"{int(r[0])},{int(r[1])},{int(r[2])},{float(r[3])!r},{float(r[4])!r},{float(r[5])!r}"
+        for r in rows]
+    assert out.read_text() == "\n".join(lines) + "\n"
+
+
+# JSON-native trees, with the values json writes unlike a Python repr
+_numbers = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e-310, 1e16, 1.5e22, -1e300, float("nan"), float("inf")]),
+    st.integers(-2**200, 2**200),
+    st.booleans(),
+    st.floats().map(np.float64),
+)
+_rows = st.lists(st.lists(st.one_of(_numbers, st.lists(_numbers, max_size=3)), max_size=4),
+                 max_size=6)
+_leaves = st.one_of(st.none(), _numbers, st.text(), st.lists(_numbers, max_size=6), _rows)
+
+
+def _dicts(values):
+    # json sorts the keys, so the keys of one dict must compare with each other
+    return st.one_of(
+        st.dictionaries(st.text(), values, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.booleans()), values, max_size=4),
+        st.dictionaries(st.floats(allow_nan=False), values, max_size=4),
+        st.dictionaries(st.none(), values, max_size=1),
+    )
+
+
+_trees = st.recursive(_leaves, lambda t: st.one_of(st.lists(t, max_size=4), _dicts(t)),
+                      max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_trees, block=st.sampled_from([1, 2, 3, cli._ROW_BLOCK]))
+def test_artifact_json_is_the_bytes_of_json_dumps(obj, block):
+    with mock.patch.object(cli, "_ROW_BLOCK", block):
+        assert cli.dumps(obj) == json.dumps(obj, sort_keys=True, indent=1)
+
+
+def test_artifact_json_of_a_field_is_the_bytes_of_json_dumps():
+    doc = field_to_dict(sample_state_field(HopfParams(2.0), MeshSpec(16)))
+    doc["entries"][3000][1] = float("nan")  # one block falls back to json
+    assert len(doc["entries"]) >= 2 * cli._ROW_BLOCK
+    assert cli.dumps(doc) == json.dumps(doc, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_artifact_mode_follows_the_umask(tmp_path, capsys, umask, mode):
+    old = os.umask(umask)
+    try:
+        cli.write_atomic(tmp_path / "a.txt", "a\n")
+        assert run_cli(["chern", "--h", "2", "--n", "6", "--out", "c.json"], tmp_path) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    assert (tmp_path / "a.txt").stat().st_mode & 0o777 == mode
+    assert (tmp_path / "c.json").stat().st_mode & 0o777 == mode
+
+
+def test_failed_write_leaves_no_temporary_and_the_old_artifact(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "c.json"
+    out.write_text("old\n")
+    with pytest.raises(TypeError):  # encoding fails before any file is made
+        cli.write_json_atomic(out, {"rows": [[1.0, 2.0], {3}]})
+    with pytest.raises(UnicodeEncodeError):  # the write itself fails
+        cli.write_atomic(out, "x" * 100_000 + "\ud800")
+
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)  # the file is written, then not moved
+    with pytest.raises(OSError):
+        cli.write_atomic(out, "new\n")
+    assert run_cli(["chern", "--h", "2", "--n", "6", "--out", str(out)], tmp_path) == 3
+    assert '"error": "IOError"' in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+    assert out.read_text() == "old\n"
 
 
 def test_engine_error_json_exit_1(tmp_path, capsys):
