@@ -207,10 +207,12 @@ def coverage_fraction(vectors, bins):
 # serialization (field JSON schema and spin-texture rows)
 
 def field_to_dict(f):
-    """JSON-ready dict: mesh size, h, provenance and flat row-major entries.
+    """Field document: mesh size, h, provenance and flat row-major entries.
 
-    Spinor entries are 4 reals (Re/Im up, Re/Im down); density matrices are
-    8 reals (row-major 2x2, Re/Im interleaved).
+    ``entries`` is a float array of shape (n**3, 4) for spinors (Re/Im up,
+    Re/Im down) or (n**3, 8) for density matrices (row-major 2x2, Re/Im
+    interleaved). ``hopfsim.cli.dumps`` writes it as the list of its rows;
+    for ``json.dumps``, convert it with ``.tolist()``.
     """
     flat = f.data.reshape(f.n ** 3, -1)
     entries = np.column_stack([flat.real, flat.imag]).reshape(f.n ** 3, 2, -1)
@@ -221,7 +223,7 @@ def field_to_dict(f):
         "omega": f.params.omega,
         "provenance": f.provenance,
         "kind": f.kind,
-        "entries": entries.tolist(),
+        "entries": entries,
     }
 
 

@@ -24,7 +24,8 @@ from itertools import chain
 
 import numpy as np
 
-from . import adiabatic, bzgrid, invariants, model, preimage
+# the engines are imported by the commands that run them
+from . import model
 from .errors import HopfError, UsageError
 
 OUTPUT_DIR_ENV = "HOPF_OUTPUT_DIR"
@@ -42,7 +43,7 @@ class RunConfig:
     spins: list = dc_field(default_factory=list)
     eps: float | None = None
     res: int = 64
-    photons: int = adiabatic.DEFAULT_PHOTONS
+    photons: int | None = None  # campaign: adiabatic.DEFAULT_PHOTONS
     seed: int = 0
     threads: int = 1
     k: tuple | None = None
@@ -152,16 +153,26 @@ def parse_config(argv):
     names = {f.name for f in fields(RunConfig)}
     cfg = RunConfig(**{k: v for k, v in given.items() if k in names})
     cmd = cfg.subcommand
+    if cmd == "campaign":
+        from . import adiabatic
+
+        if "photons" not in given:
+            cfg.photons = adiabatic.DEFAULT_PHOTONS
 
     if cmd in ("preimage", "neighborhood", "link") and not cfg.spins:
         raise UsageError(f"--spin is required for '{cmd}'")
+    if cmd == "neighborhood" and len(cfg.spins) > 1:
+        raise UsageError(f"'neighborhood' takes one --spin, got {len(cfg.spins)}")
     if cmd == "neighborhood" and not (cfg.h or cfg.field_path):
         raise UsageError("'neighborhood' needs --h (or --field)")
 
     # values from a config file arrive untyped
     try:
-        for s in cfg.spins:
-            preimage._unit_target(s)  # the engines' own rule for a spin target
+        if cfg.spins:
+            from . import preimage
+
+            for s in cfg.spins:
+                preimage._unit_target(s)  # the engines' own rule for a spin target
         if cfg.eps is not None:
             if cmd != "neighborhood":
                 raise UsageError(f"--eps is only valid for 'neighborhood', not '{cmd}'")
@@ -171,13 +182,16 @@ def parse_config(argv):
         for h in cfg.h:
             model.HopfParams(h)
             if cmd == "scaling":
+                from . import invariants
+
                 invariants.chi_infinity(h)  # no reference index at a phase transition
         cfg.n = [int(n) for n in cfg.n]
         for n in cfg.n:
             if n < 4:
                 raise UsageError(f"--n must be >= 4, got {n}")
         cfg.res, cfg.photons, cfg.seed, cfg.threads = (
-            int(cfg.res), int(cfg.photons), int(cfg.seed), int(cfg.threads))
+            int(cfg.res), int(cfg.photons) if "photons" in given else cfg.photons,
+            int(cfg.seed), int(cfg.threads))
         if cmd == "campaign":  # the experiment's photon and seed ranges
             adiabatic.split_photons(cfg.photons)
             adiabatic._stream_key(cfg.seed)
@@ -197,19 +211,24 @@ def _timestamp():
     return datetime.now(timezone.utc).isoformat()
 
 
+_WRITE_SLICE = 1 << 16  # characters per write of write_atomic
+
+
 def write_atomic(path, text):
     """Write ``text`` to ``path`` through a temporary file in its directory.
 
     The file gets the mode ``open(path, "w")`` would give it (0o666 less the
     umask). If anything fails, the temporary file is removed and an existing
-    ``path`` is left as it was.
+    ``path`` is left as it was. The text is written in slices, so the file's
+    encoder never holds an encoded copy of the whole of it.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start:start + _WRITE_SLICE])
         umask = os.umask(0)  # reading the umask means setting it
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates the file 0600
@@ -223,6 +242,8 @@ def write_atomic(path, text):
 # Artifact JSON is json.dumps(obj, sort_keys=True, indent=1). json runs its C
 # encoder only without indent, so lists of numbers -- the rows of a field or
 # a texture -- are written from their Python repr, a block of rows at a time.
+# A 2-D float array is written as the list of its rows, which it converts a
+# block at a time, so the whole nested list never exists.
 _NUMBER_TYPES = {float, int}
 _ROW_BLOCK = 2048
 
@@ -255,6 +276,7 @@ def _number_block(items, indent):
 def _encode(obj, out, depth):
     close = "\n" + " " * depth
     pad = close + " "
+    array = type(obj) is np.ndarray and obj.ndim == 2 and obj.dtype.kind == "f"
     if type(obj) is dict and obj:
         sep = "{" + pad
         for key, value in sorted(obj.items()):  # json's order
@@ -262,10 +284,12 @@ def _encode(obj, out, depth):
             _encode(value, out, depth + 1)
             sep = "," + pad
         out.append(close + "}")
-    elif type(obj) is list and obj:
+    elif (type(obj) is list or array) and len(obj):
         sep = "[" + pad
         for start in range(0, len(obj), _ROW_BLOCK):
             block = obj[start:start + _ROW_BLOCK]
+            if array:
+                block = block.tolist()
             text = _number_block(block, depth + 1)
             if text is not None:
                 out.append(sep + text)
@@ -277,18 +301,26 @@ def _encode(obj, out, depth):
                     sep = "," + pad
         out.append(close + "]")
     else:
+        if array:
+            obj = obj.tolist()  # no rows
         out.append(json.dumps(obj, sort_keys=True, indent=1).replace("\n", close))
 
 
 def dumps(obj):
-    """``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte."""
+    """``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte, with a
+    2-D float ``ndarray`` anywhere in ``obj`` taken as its ``.tolist()``."""
+    return "".join(_pieces(obj))
+
+
+def _pieces(obj):
     out = []
     _encode(obj, out, 0)
-    return "".join(out)
+    return out
 
 
 def write_json_atomic(path, obj):
-    write_atomic(path, dumps(obj) + "\n")
+    """Write ``dumps(obj)`` and a newline to ``path``, joined once."""
+    write_atomic(path, "".join(_pieces(obj) + ["\n"]))
 
 
 def _outpath(cfg, default_name):
@@ -313,22 +345,32 @@ def _htag(h):
 # subcommand implementations
 
 def _analytic(cfg):
+    from . import bzgrid
+
     return bzgrid.sample_state_field(model.HopfParams(cfg.h[0]), bzgrid.MeshSpec(cfg.n[0]))
 
 def _cmd_field(cfg):
+    from . import bzgrid
+
     doc = bzgrid.field_to_dict(_analytic(cfg))
     return [_emit(cfg, f"field_h{_htag(cfg.h[0])}_n{cfg.n[0]}.json", doc)]
 
 def _cmd_index(cfg):
+    from . import invariants
+
     doc = invariants.index_report(_analytic(cfg))
     return [_emit(cfg, f"index_h{_htag(cfg.h[0])}_n{cfg.n[0]}.json", doc)]
 
 def _cmd_chern(cfg):
+    from . import invariants
+
     curv = invariants.berry_curvature(_analytic(cfg))
     doc = {"h": cfg.h[0], "n": cfg.n[0], "chern_numbers": invariants.chern_numbers(curv)}
     return [_emit(cfg, f"chern_h{_htag(cfg.h[0])}_n{cfg.n[0]}.json", doc)]
 
 def _cmd_scaling(cfg):
+    from . import invariants
+
     rows = []
     for h in cfg.h:
         target = invariants.chi_infinity(h)
@@ -339,11 +381,12 @@ def _cmd_scaling(cfg):
     return [_emit(cfg, "scaling.json", {"rows": rows})]
 
 def _cmd_texture(cfg):
+    from . import bzgrid
+
     rows = bzgrid.texture_rows(_analytic(cfg))
     name = f"texture_h{_htag(cfg.h[0])}_n{cfg.n[0]}"
     if cfg.fmt != "csv":
-        doc = {"h": cfg.h[0], "n": cfg.n[0], "rows": rows.tolist(),
-               "columns": _TEXTURE_COLUMNS}
+        doc = {"h": cfg.h[0], "n": cfg.n[0], "rows": rows, "columns": _TEXTURE_COLUMNS}
         return [_emit(cfg, name + ".json", doc)]
     body = [",".join(_TEXTURE_COLUMNS)]
     for start in range(0, len(rows), _ROW_BLOCK):
@@ -351,11 +394,14 @@ def _cmd_texture(cfg):
         lines = [site + spin for site, spin in
                  zip(block[:, :3].astype(int).tolist(), block[:, 3:].tolist())]
         body.append(_rows_text(lines, ",", "\n"))
+    body.append("")  # the final newline
     path = _outpath(cfg, name + ".csv")
-    write_atomic(path, "\n".join(body) + "\n")
+    write_atomic(path, "\n".join(body))
     return [path]
 
 def _cmd_preimage(cfg):
+    from . import preimage
+
     # one pass over the grid's planes marches every spin
     loops_per_spin = preimage.refined_preimage(model.HopfParams(cfg.h[0]), cfg.spins, cfg.res)
     paths = []
@@ -371,6 +417,8 @@ def _cmd_preimage(cfg):
     return paths
 
 def _cmd_neighborhood(cfg):
+    from . import bzgrid, preimage
+
     if cfg.field_path:
         try:
             f = bzgrid.load_field(cfg.field_path)
@@ -386,11 +434,15 @@ def _cmd_neighborhood(cfg):
     return [_emit(cfg, f"neighborhood_h{_htag(f.params.h)}_n{f.n}.json", doc)]
 
 def _cmd_link(cfg):
+    from . import preimage
+
     doc = preimage.link_matrix(model.HopfParams(cfg.h[0]), cfg.spins, res=cfg.res).to_dict()
     doc.update({"h": cfg.h[0], "res": cfg.res})
     return [_emit(cfg, f"link_h{_htag(cfg.h[0])}.json", doc)]
 
 def _cmd_adiabatic(cfg):
+    from . import adiabatic
+
     params = model.HopfParams(cfg.h[0])
     k = 2.0 * np.pi * np.asarray(cfg.k)
     schedule = adiabatic.build_schedule(k, params)
@@ -405,6 +457,8 @@ def _cmd_adiabatic(cfg):
     return [_emit(cfg, f"adiabatic_h{_htag(cfg.h[0])}.json", doc)]
 
 def _cmd_campaign(cfg):
+    from . import adiabatic, bzgrid
+
     result = adiabatic.run_campaign(
         model.HopfParams(cfg.h[0]),
         bzgrid.MeshSpec(cfg.n[0]),

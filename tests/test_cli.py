@@ -1,13 +1,18 @@
+import importlib
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from hopfsim import cli, preimage
+from hopfsim import cli, invariants, preimage
 from hopfsim.bzgrid import (
     MeshSpec,
     StateField,
@@ -60,6 +65,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run_cli(["preimage", "--h", "2", "--spin", "1,0"], tmp_path) == 2
     assert run_cli(["preimage", "--h", "2", "--spin", "1,1,0"], tmp_path) == 2
     assert run_cli(["neighborhood", "--spin", "0,0,1", "--eps", "0.3"], tmp_path) == 2
+    assert run_cli(["neighborhood", "--h", "2", "--spin", "1,0,0", "--spin", "0,1,0",
+                    "--eps", "0.3"], tmp_path) == 2  # one target, not the first of two
     assert run_cli(["index", "--h", "nan"], tmp_path) == 2
     for h in ("1", "3", "-1"):  # phase transitions have no reference index
         assert run_cli(["scaling", "--h", h, "--n", "6"], tmp_path) == 2
@@ -74,7 +81,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         conf.write_text(text)
         assert run_cli(argv, tmp_path) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 17 and all(line.startswith("usage error: ") for line in err)
+    assert len(err) == 18 and all(line.startswith("usage error: ") for line in err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json"]
 
 
@@ -147,6 +154,7 @@ def test_large_h_below_the_bound_still_runs(tmp_path, capsys):
 
 def test_field_with_a_non_finite_entry_is_a_usage_error(tmp_path, capsys):
     doc = field_to_dict(sample_state_field(HopfParams(2.0), MeshSpec(4)))
+    doc["entries"] = doc["entries"].tolist()
     doc["entries"][5][0] = float("nan")
     bad = tmp_path / "f.json"
     bad.write_text(json.dumps(doc))
@@ -410,7 +418,100 @@ def test_artifact_json_of_a_field_is_the_bytes_of_json_dumps():
     doc = field_to_dict(sample_state_field(HopfParams(2.0), MeshSpec(16)))
     doc["entries"][3000][1] = float("nan")  # one block falls back to json
     assert len(doc["entries"]) >= 2 * cli._ROW_BLOCK
-    assert cli.dumps(doc) == json.dumps(doc, sort_keys=True, indent=1)
+    assert cli.dumps(doc) == json.dumps({**doc, "entries": doc["entries"].tolist()},
+                                        sort_keys=True, indent=1)
+
+
+def _as_lists(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_as_lists(v) for v in obj]
+    return obj
+
+
+_special = st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0])
+_float_rows = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5),
+               elements=st.one_of(st.floats(), _special)),
+    hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5),
+               elements=st.one_of(st.floats(width=32), _special)),
+)
+_docs_with_rows = st.recursive(
+    st.one_of(_float_rows, _leaves),
+    lambda t: st.one_of(st.lists(t, max_size=3), st.dictionaries(st.text(), t, max_size=3)),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=_docs_with_rows, block=st.sampled_from([1, 2, 3, cli._ROW_BLOCK]))
+def test_artifact_json_of_float_arrays_is_the_bytes_of_json_dumps_of_their_lists(obj, block):
+    with mock.patch.object(cli, "_ROW_BLOCK", block):
+        assert cli.dumps(obj) == json.dumps(_as_lists(obj), sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("argv, limit_mib", [
+    (["field"], 7.5),
+    (["texture", "--format", "csv"], 7.5),
+    (["texture"], 10.0),
+])
+def test_n32_artifact_is_written_within_a_heap_bound(tmp_path, capsys, argv, limit_mib):
+    # the n=32 field artifact is 2.85 MB; the document holds the (32**3, 4)
+    # entries array, and no nested list of it is ever formed
+    assert run_cli([*argv, "--h", "2", "--n", "4"], tmp_path) == 0  # imports done
+    tracemalloc.start()
+    try:
+        assert run_cli([*argv, "--h", "2", "--n", "32"], tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak / 2**20 <= limit_mib
+
+
+_ENGINES = ("hopfsim.adiabatic", "hopfsim.invariants", "hopfsim.preimage")
+
+
+def test_each_command_imports_only_the_engines_it_runs(tmp_path):
+    # a fresh interpreter: this one has imported every module already
+    script = f"""
+import json, sys
+from hopfsim import cli
+
+def engines():
+    return sorted(m for m in {_ENGINES!r} if m in sys.modules)
+
+seen = {{"import": engines()}}
+for argv in (["field", "--h", "2", "--n", "4"], ["texture", "--h", "2", "--n", "4"],
+             ["link", "--h", "2.9", "--spins", "1,0,0;0,1,0", "--res", "16"]):
+    assert cli.main(argv) == 0
+    seen[argv[0]] = engines()
+print(json.dumps(seen))
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, cli.OUTPUT_DIR_ENV: str(tmp_path)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True)
+    seen = json.loads(run.stdout.splitlines()[-1])
+    assert seen["import"] == seen["field"] == seen["texture"] == []
+    assert "hopfsim.preimage" in seen["link"]
+
+
+def test_package_names_are_their_home_modules_objects():
+    import hopfsim
+
+    for name in hopfsim.__all__:
+        home = importlib.import_module(f"hopfsim.{hopfsim._HOMES[name]}")
+        assert getattr(hopfsim, name) is getattr(home, name)
+    assert set(hopfsim.__all__) <= set(dir(hopfsim))
+    star = {}
+    exec("from hopfsim import *", star)
+    assert {k for k in star if k != "__builtins__"} == set(hopfsim.__all__)
+    assert star["link_matrix"] is preimage.link_matrix
+    with pytest.raises(AttributeError):
+        hopfsim.no_such_name
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
@@ -472,7 +573,7 @@ def test_mesh_too_large_for_memory_is_json_exit_1(tmp_path, capsys, monkeypatch,
     def out_of_memory(field):
         raise err
 
-    monkeypatch.setattr(cli.invariants, "index_report", out_of_memory)
+    monkeypatch.setattr(invariants, "index_report", out_of_memory)
     assert run_cli(["index", "--h", "2", "--n", "6"], tmp_path) == 1
     doc = json.loads(capsys.readouterr().err)
     assert doc == {"error": "MemoryError", "message": str(err)}
