@@ -41,7 +41,7 @@ from .bzgrid import (
     _validate_spinors,
     bloch_vectors_of,
 )
-from .errors import GaplessPoint, HopfError
+from .errors import GaplessPoint, HopfError, UsageError
 
 OMEGA_MAX = 2.0 * np.pi * 20.83e6  # rad/s, the peak Rabi frequency
 SEGMENT_DURATION = 500e-9  # s per linear ramp
@@ -349,10 +349,10 @@ class MeasurementRecord:
 
 def split_photons(photons):
     """Equal thirds across the x, y, z bases, remainder assigned to z; below 3
-    photons, or beyond 2**63 - 1 shots per basis, raises ValueError."""
+    photons, or beyond 2**63 - 1 shots per basis, raises UsageError."""
     photons = int(photons)
     if not 3 <= photons <= 3 * (2**63 - 1):
-        raise ValueError(f"need 3 to 3 * (2**63 - 1) photons, got {photons}")
+        raise UsageError(f"need 3 to 3 * (2**63 - 1) photons, got {photons}")
     third = photons // 3
     return {"x": third, "y": third, "z": photons - 2 * third}
 
@@ -361,7 +361,7 @@ def _stream_key(seed):
     """Philox key of ``seed``, an int or an int pair, each in [0, 2**64 - 1]."""
     key = tuple(int(x) for x in (seed if isinstance(seed, (tuple, list)) else (seed, 0)))
     if not all(0 <= x < 2**64 for x in key):
-        raise ValueError(f"seed must lie in [0, 2**64 - 1], got {seed}")
+        raise UsageError(f"seed must lie in [0, 2**64 - 1], got {seed}")
     return key
 
 
@@ -389,8 +389,9 @@ def simulate_measurements(state, photons, seed=0):
     Success probability per basis is (1 + <sigma_basis>)/2; the draw is a
     counter-based stream keyed by ``seed`` (an int or an int pair), so equal
     keys reproduce identical records regardless of call order.  A spinor off
-    unit norm, a 2x2 that is not a density matrix, or a seed outside
-    [0, 2**64 - 1] raises ValueError, as ``split_photons`` does.
+    unit norm or a 2x2 that is not a density matrix raises ValueError; a seed
+    outside [0, 2**64 - 1], like a photon count ``split_photons`` refuses,
+    raises UsageError.
     """
     shots = split_photons(photons)
     state = np.asarray(state, dtype=complex)
@@ -584,7 +585,7 @@ def run_campaign(params, mesh, photons_per_site=DEFAULT_PHOTONS, seed=0,
     ``stats.errors``, in row-major order.
     """
     if threads < 0:
-        raise ValueError(f"threads must be >= 0, got {threads}")
+        raise UsageError(f"threads must be >= 0, got {threads}")
     shots = list(split_photons(photons_per_site).values())
     seed = _stream_key(int(seed))[0]
     n = mesh.n

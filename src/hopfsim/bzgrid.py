@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model
-from .errors import EmptyInput, GaplessPoint
+from .errors import EmptyInput, GaplessPoint, UsageError
 
 PROVENANCE_ANALYTIC = "analytic"
 PROVENANCE_SIMULATED = "simulated-experiment"
@@ -31,9 +31,9 @@ class MeshSpec:
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)):
-            raise ValueError(f"mesh size n must be an integer, got {self.n!r}")
+            raise UsageError(f"mesh size n must be an integer, got {self.n!r}")
         if self.n < 4:
-            raise ValueError(f"mesh needs n >= 4, got {self.n}")
+            raise UsageError(f"mesh needs n >= 4, got {self.n}")
 
     def points(self):
         """All mesh momenta, shape (n, n, n, 3), indexed [jx, jy, jz]."""
@@ -211,12 +211,11 @@ def field_to_dict(f):
 
     ``entries`` is a float array of shape (n**3, 4) for spinors (Re/Im up,
     Re/Im down) or (n**3, 8) for density matrices (row-major 2x2, Re/Im
-    interleaved). ``hopfsim.cli.dumps`` writes it as the list of its rows;
-    for ``json.dumps``, convert it with ``.tolist()``.
+    interleaved), a view of the field's data. ``hopfsim.cli.dumps`` writes
+    it as the list of its rows; for ``json.dumps``, convert it with
+    ``.tolist()``.
     """
-    flat = f.data.reshape(f.n ** 3, -1)
-    entries = np.column_stack([flat.real, flat.imag]).reshape(f.n ** 3, 2, -1)
-    entries = np.moveaxis(entries, 1, 2).reshape(f.n ** 3, -1)
+    entries = np.ascontiguousarray(f.data).reshape(f.n ** 3, -1).view(np.float64)
     return {
         "n": f.n,
         "h": f.params.h,

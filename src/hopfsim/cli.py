@@ -127,10 +127,12 @@ def _read_config(path):
 
 
 def parse_config(argv):
-    """argv -> validated RunConfig; config-file values are overridden by flags.
+    """argv -> RunConfig; config-file values are overridden by flags.
 
     A value set neither by a flag nor in the config file keeps its RunConfig
-    default.
+    default.  Only the rules of the command line itself are checked here; a
+    value outside the range of the engine that takes it is refused by that
+    engine, with ``UsageError``, when the command starts.
     """
     given = vars(_build_parser().parse_args(argv))
     if "config" in given:
@@ -153,11 +155,10 @@ def parse_config(argv):
     names = {f.name for f in fields(RunConfig)}
     cfg = RunConfig(**{k: v for k, v in given.items() if k in names})
     cmd = cfg.subcommand
-    if cmd == "campaign":
+    if cmd == "campaign" and "photons" not in given:
         from . import adiabatic
 
-        if "photons" not in given:
-            cfg.photons = adiabatic.DEFAULT_PHOTONS
+        cfg.photons = adiabatic.DEFAULT_PHOTONS
 
     if cmd in ("preimage", "neighborhood", "link") and not cfg.spins:
         raise UsageError(f"--spin is required for '{cmd}'")
@@ -165,42 +166,20 @@ def parse_config(argv):
         raise UsageError(f"'neighborhood' takes one --spin, got {len(cfg.spins)}")
     if cmd == "neighborhood" and not (cfg.h or cfg.field_path):
         raise UsageError("'neighborhood' needs --h (or --field)")
+    if cfg.eps is not None and cmd != "neighborhood":
+        raise UsageError(f"--eps is only valid for 'neighborhood', not '{cmd}'")
 
     # values from a config file arrive untyped
     try:
-        if cfg.spins:
-            from . import preimage
-
-            for s in cfg.spins:
-                preimage._unit_target(s)  # the engines' own rule for a spin target
-        if cfg.eps is not None:
-            if cmd != "neighborhood":
-                raise UsageError(f"--eps is only valid for 'neighborhood', not '{cmd}'")
-            if not 0 < cfg.eps <= 2:
-                raise UsageError(f"--eps must be in (0, 2], got {cfg.eps}")
         cfg.h = [float(h) for h in cfg.h]
-        for h in cfg.h:
-            model.HopfParams(h)
-            if cmd == "scaling":
-                from . import invariants
-
-                invariants.chi_infinity(h)  # no reference index at a phase transition
         cfg.n = [int(n) for n in cfg.n]
-        for n in cfg.n:
-            if n < 4:
-                raise UsageError(f"--n must be >= 4, got {n}")
-        cfg.res, cfg.photons, cfg.seed, cfg.threads = (
-            int(cfg.res), int(cfg.photons) if "photons" in given else cfg.photons,
-            int(cfg.seed), int(cfg.threads))
-        if cmd == "campaign":  # the experiment's photon and seed ranges
-            adiabatic.split_photons(cfg.photons)
-            adiabatic._stream_key(cfg.seed)
+        cfg.res, cfg.seed, cfg.threads = int(cfg.res), int(cfg.seed), int(cfg.threads)
+        if "photons" in given:
+            cfg.photons = int(cfg.photons)
+        if cfg.eps is not None:
+            cfg.eps = float(cfg.eps)
     except (TypeError, ValueError) as err:
         raise UsageError(f"invalid value: {err}") from None
-    if cmd in ("preimage", "link") and not 16 <= cfg.res <= 512:
-        raise UsageError(f"--res must be in [16, 512], got {cfg.res}")
-    if cfg.threads < 0:
-        raise UsageError(f"--threads must be >= 0 (0: one per CPU), got {cfg.threads}")
     return cfg
 
 
@@ -371,9 +350,11 @@ def _cmd_chern(cfg):
 def _cmd_scaling(cfg):
     from . import invariants
 
+    for h in cfg.h:  # every h is refused, if at all, before anything is sampled
+        model.HopfParams(h)
+    targets = [invariants.chi_infinity(h) for h in cfg.h]
     rows = []
-    for h in cfg.h:
-        target = invariants.chi_infinity(h)
+    for h, target in zip(cfg.h, targets):
         for row in invariants.scaling_study(h, cfg.n):
             rows.append({"h": h, "n": row.n, "chi": row.chi,
                          "chi_infinity": target, "deviation": row.deviation})
@@ -419,6 +400,8 @@ def _cmd_preimage(cfg):
 def _cmd_neighborhood(cfg):
     from . import bzgrid, preimage
 
+    spin = cfg.spins[0]
+    preimage._check_neighborhood(spin, cfg.eps)  # before a field is read or sampled
     if cfg.field_path:
         try:
             f = bzgrid.load_field(cfg.field_path)
@@ -427,7 +410,6 @@ def _cmd_neighborhood(cfg):
                 f"--field {cfg.field_path} is not a field file: {err!r}") from None
     else:
         f = _analytic(cfg)
-    spin = cfg.spins[0]
     sites = preimage.epsilon_neighborhood(f, spin, cfg.eps)
     doc = {"h": f.params.h, "n": f.n, "target": list(spin), "epsilon": cfg.eps,
            "sites": [{"site": list(site), "bloch": vec.tolist()} for site, vec in sites]}
@@ -496,11 +478,9 @@ def _report(err):
     if isinstance(err, OSError):
         print(json.dumps({"error": "IOError", "message": str(err)}), file=sys.stderr)
         return 3
-    detail = {
-        k: getattr(err, k)
-        for k in ("site", "axis", "layer", "flux", "k", "windings")
-        if getattr(err, k, None) is not None
-    }
+    detail = {}
+    if isinstance(err, HopfError):  # the attributes it sets: GaplessPoint's site and k, ...
+        detail = {k: v for k, v in vars(err).items() if v is not None}
     # numpy raises a private MemoryError subclass; report the public name
     name = "MemoryError" if isinstance(err, MemoryError) else type(err).__name__
     doc = {"error": name, "message": str(err)}

@@ -10,8 +10,8 @@ class GaplessPoint(HopfError):
 
     def __init__(self, message, k=None, site=None):
         super().__init__(message)
+        self.site = site  # the order of the CLI's JSON detail
         self.k = k
-        self.site = site
 
 
 class DegenerateEta(HopfError):
@@ -92,5 +92,9 @@ class NonConvergence(HopfError):
         self.best = best
 
 
-class UsageError(HopfError):
-    """Invalid command-line configuration (maps to exit status 2)."""
+class UsageError(HopfError, ValueError):
+    """An argument outside the range its engine accepts: a mesh size, an h
+    or omega, a spin target, a res, an eps, a photon count, a seed or a
+    thread count.  Each range is checked only by the engine that owns it;
+    the CLI turns the error into exit status 2, as it does its own parsing
+    errors.  It is a ``ValueError``, as the bare errors it replaces were."""

@@ -9,12 +9,12 @@ All quantities are independent of per-site state phases by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .bzgrid import MeshSpec, StateField, sample_state_field
-from .errors import NonIntegerFlux, NonzeroNetFlux, OrthogonalNeighbors
+from .errors import NonIntegerFlux, NonzeroNetFlux, OrthogonalNeighbors, UsageError
 from .model import HopfParams
 
 TOL_OVERLAP = 1e-8
@@ -317,9 +317,9 @@ def chi_infinity(h):
     """Ideal Hopf index of the model: 1 for 1<|h|<3, -2 for |h|<1, 0 for |h|>3."""
     ah = abs(h)
     if not np.isfinite(ah):
-        raise ValueError(f"h={h} is not finite; the index is undefined")
+        raise UsageError(f"h={h} is not finite; the index is undefined")
     if ah in (1.0, 3.0):
-        raise ValueError(f"h={h} is a phase transition; the index is undefined")
+        raise UsageError(f"h={h} is a phase transition; the index is undefined")
     if ah < 1.0:
         return -2
     if ah < 3.0:
@@ -351,12 +351,4 @@ def scaling_study(h, ns):
 
 def index_report(f: StateField):
     """JSON-ready Hopf-index report including all slice Chern numbers."""
-    res = hopf_index(f)
-    return {
-        "h": f.params.h,
-        "n": f.n,
-        "chi": res.chi,
-        "nearest_integer": res.nearest_integer,
-        "deviation": res.deviation,
-        "chern_numbers": res.chern_numbers,
-    }
+    return asdict(hopf_index(f))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEta, GaplessPoint, PoleSingular
+from .errors import DegenerateEta, GaplessPoint, PoleSingular, UsageError
 
 GAP_TOL = 1e-12
 POLE_DELTA = 1e-9
@@ -39,11 +39,11 @@ class HopfParams:
 
     def __post_init__(self):
         if not np.isfinite(self.h):
-            raise ValueError(f"h must be finite, got {self.h}")
+            raise UsageError(f"h must be finite, got {self.h}")
         if abs(self.h) > H_MAX:
-            raise ValueError(f"|h| must be <= {H_MAX:g}, got {self.h}")
+            raise UsageError(f"|h| must be <= {H_MAX:g}, got {self.h}")
         if not (np.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+            raise UsageError(f"omega must be positive and finite, got {self.omega}")
 
 
 def u_of_k(k, params):

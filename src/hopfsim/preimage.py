@@ -43,6 +43,7 @@ from .errors import (
     InconsistentLinks,
     NotClosed,
     ResolutionTooCoarse,
+    UsageError,
     WindingLoops,
 )
 from .invariants import _roll_into
@@ -114,12 +115,12 @@ def polyline_from_dict(d):
 def _unit_target(s):
     s = np.asarray(s, dtype=float)
     if s.shape != (3,):
-        raise ValueError(f"spin target must be a 3-vector, got shape {s.shape}")
+        raise UsageError(f"spin target must be a 3-vector, got shape {s.shape}")
     if not np.isfinite(s).all():
-        raise ValueError(f"spin target must be finite, got {s.tolist()}")
+        raise UsageError(f"spin target must be finite, got {s.tolist()}")
     norm = np.linalg.norm(s)
     if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"spin target must be a unit vector, |s|={norm}")
+        raise UsageError(f"spin target must be a unit vector, |s|={norm}")
     return s / norm
 
 
@@ -177,8 +178,9 @@ def preimage_contours(bloch, target):
     hull, the whole loop then lies on the side of s.  The loops are not
     pulled onto the analytic curve (``refined_preimage`` does that).
     ``ResolutionTooCoarse`` if the segments cannot be chained into loops;
-    ``ValueError`` for a grid of another shape, or a res outside [16, 512]."""
-    _unit_target(target)  # a bad target is refused before the grid is read
+    ``ValueError`` for a grid of another shape, ``UsageError`` for a res
+    outside [16, 512]."""
+    target = _unit_target(target)  # a bad target is refused before the grid is read
     bloch = np.asarray(bloch)
     res = bloch.shape[0] if bloch.ndim == 4 else 0
     if bloch.shape != (res, res, res, 3):
@@ -212,15 +214,15 @@ def refined_preimage(params, targets, res=64):
 
 def _check_res(res):
     if not isinstance(res, (int, np.integer)):
-        raise ValueError(f"res must be an integer, got {res!r}")
+        raise UsageError(f"res must be an integer, got {res!r}")
     if not 16 <= res <= 512:
-        raise ValueError(f"res must be in [16, 512], got {res}")
+        raise UsageError(f"res must be in [16, 512], got {res}")
 
 
 def _preimages(sample, res, targets):
     """The kept loops of each target, from one march (``_straddling`` takes
-    ``sample``); the zero set of (b.t1, b.t2) is marched (``_frame``)."""
-    targets = [_unit_target(t) for t in targets]
+    ``sample``); the zero set of (b.t1, b.t2) is marched (``_frame``).  The
+    targets are unit 3-vectors that the caller has checked."""
     marches = [(*_frame(s), s) for s in targets]
     out = []
     for s, (points, faces) in zip(targets, _march_segments(sample, res, marches)):
@@ -460,15 +462,20 @@ def _spin_jacobian(k, params, step=1e-6):
 # ---------------------------------------------------------------------------
 # epsilon-neighborhood of a spin orientation on a sampled field
 
+def _check_neighborhood(target, epsilon):
+    """The unit target of an epsilon-neighborhood, or ``UsageError``."""
+    if not 0 < epsilon <= 2:
+        raise UsageError(f"epsilon must be in (0, 2], got {epsilon}")
+    return _unit_target(target)
+
+
 def epsilon_neighborhood(f, target, epsilon):
     """Mesh sites whose Bloch vector lies within epsilon of the target.
 
     Returns [(site, bloch_vector), ...] in row-major site order; an empty
     list is a valid result.
     """
-    if not 0 < epsilon <= 2:
-        raise ValueError(f"epsilon must be in (0, 2], got {epsilon}")
-    s = _unit_target(target)
+    s = _check_neighborhood(target, epsilon)
     bloch = f.bloch_vectors()
     dist = np.linalg.norm(bloch - s, axis=-1)
     sites = np.argwhere(dist <= epsilon)
@@ -844,7 +851,7 @@ def link_matrix(params, targets, res=64):
     linking_number_t3), summed over loop pairs when a preimage has several
     components; empty preimages are marked absent rather than silently
     skipped."""
-    targets = [tuple(_unit_target(t)) for t in targets]
+    targets = [_unit_target(t) for t in targets]
     _check_res(res)
     loops_t3 = _preimages(partial(model.bloch_grid, res, params), res, targets)
     absent = [i for i, loops in enumerate(loops_t3) if not loops]
@@ -861,7 +868,7 @@ def link_matrix(params, targets, res=64):
             separation = min([separation] + [lk.separation for lk in pairs])
             residuals += [abs(lk.residual) for lk in pairs]
     return LinkMatrix(
-        targets=targets, values=values, absent=absent, loops=loops_t3,
+        targets=[tuple(s) for s in targets], values=values, absent=absent, loops=loops_t3,
         min_separation_cells=separation * res / TWO_PI if np.isfinite(separation) else None,
         max_residual=max(residuals, default=None),
     )
