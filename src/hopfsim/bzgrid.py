@@ -34,6 +34,9 @@ class MeshSpec:
             raise UsageError(f"mesh size n must be an integer, got {self.n!r}")
         if self.n < 4:
             raise UsageError(f"mesh needs n >= 4, got {self.n}")
+        if self.n >= 2**20:  # 8 n**3 bytes >= 2**63
+            raise UsageError(f"mesh needs n < 2**20 (n**3 float64 values pass numpy's "
+                             f"largest array size), got {self.n}")
 
     def points(self):
         """All mesh momenta, shape (n, n, n, 3), indexed [jx, jy, jz]."""

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field as dc_field, fields, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from datetime import datetime, timezone
 from itertools import chain
 
@@ -55,7 +55,7 @@ class RunConfig:
 def _parse_vec(text):
     try:
         parts = [float(x) for x in text.split(",")]
-    except (AttributeError, ValueError):
+    except ValueError:
         raise UsageError(f"--spin/--k expects 'x,y,z', got {text!r}")
     if len(parts) != 3:
         raise UsageError(f"--spin/--k expects 3 components, got {text!r}")
@@ -64,58 +64,56 @@ def _parse_vec(text):
     return tuple(parts)
 
 
+# name -> (handler, help, needs, flags) in ``hopf --help`` order; ``needs`` are the flags
+# argv or --config must give ("a|b": either), ``flags`` add_argument's keywords.
+_COMMANDS = {}
+_FLOAT, _INT = {"type": float}, {"type": int}
+_JSON_TYPES = {int: (int, float), float: (int, float), None: (str,)}  # a bool is none
+
+
+def _command(help_, needs="h", **flags):
+    def register(run):
+        _COMMANDS[run.__name__.removeprefix("_cmd_")] = run, help_, needs.split(), flags
+        return run
+    return register
+
+
 def _build_parser():
+    """The hopf parser, and each subcommand's argparse actions by flag name."""
     parser = argparse.ArgumentParser(
         prog="hopf",
         description="Hopf-insulator invariants, preimage links and the "
                     "simulated adiabatic-tomography experiment",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    S = argparse.SUPPRESS
-
-    def add(name, help_, **flags):
+    actions = {}
+    for name, (_, help_, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--config", default=S, help="JSON file with default flag values")
-        p.add_argument("--out", default=S, help="output path")
-        for flag, kw in flags.items():
-            p.add_argument(f"--{flag}", default=S, **kw)
-        return p
-
-    add("field", "write the analytic ground-state field",
-        h={"type": float, "required": True}, n={"type": int})
-    add("index", "Hopf index report (with slice Chern numbers)",
-        h={"type": float, "required": True}, n={"type": int})
-    add("chern", "slice Chern numbers only",
-        h={"type": float, "required": True}, n={"type": int})
-    add("scaling", "Hopf-index deviation vs mesh size",
-        h={"type": float, "action": "append", "required": True},
-        n={"type": int, "action": "append"})
-    add("texture", "spin texture export (csv or json)",
-        h={"type": float, "required": True}, n={"type": int},
-        format={"choices": ["json", "csv"]})
-    add("preimage", "preimage loops of one spin target",
-        h={"type": float, "required": True},
-        spin={"action": "append", "required": True}, res={"type": int})
-    add("neighborhood", "mesh sites within eps of a spin target",
-        h={"type": float}, n={"type": int},
-        spin={"action": "append", "required": True},
-        eps={"type": float, "required": True},
-        field={"dest": "field_path", "help": "use a saved field instead of the analytic one"})
-    add("link", "pairwise linking numbers of preimage loops",
-        h={"type": float, "required": True},
-        spins={"help": "semicolon-separated targets 'x,y,z;x,y,z;...'"},
-        spin={"action": "append"}, res={"type": int})
-    add("adiabatic", "single-site passage: schedule, final state, fidelity",
-        h={"type": float, "required": True},
-        k={"required": True, "help": "momentum in units of 2*pi, e.g. 0.4,0.3,0.5"})
-    add("campaign", "simulated tomography of a whole mesh",
-        h={"type": float, "required": True}, n={"type": int},
-        photons={"type": int}, seed={"type": int}, threads={"type": int})
-    return parser
+        flags = {"config": {"help": "JSON file with default flag values"},
+                 "out": {"help": "output path"}, **flags}
+        actions[name] = {flag: p.add_argument(f"--{flag}", default=argparse.SUPPRESS, **kw)
+                         for flag, kw in flags.items()}
+    return parser, actions
 
 
-def _read_config(path):
-    """The flag values held in a --config file; malformed content is a usage error."""
+def _config_value(key, action, value):
+    """A config file's ``value`` for ``--key`` as the flag's type and choices
+    take it: an int flag takes a float only if it is integral."""
+    ok = type(value) in _JSON_TYPES[action.type] and (action.type is not int or value % 1 == 0)
+    try:
+        value = (action.type or str)(value) if ok else value
+    except OverflowError:  # an int beyond the largest float
+        ok = False
+    if not ok or action.choices is not None and value not in action.choices:
+        takes = action.choices or (action.type or str).__name__
+        raise UsageError(f"--config key {key!r} takes {takes}, got {value!r}")
+    return value
+
+
+def _merge_config(path, parser, actions, ns):
+    """Pass each value of the --config file to its flag's action, unless argv
+    gave the flag. A list holds a repeatable flag's values; keys of another
+    subcommand's flags are ignored, and a key no subcommand has is refused."""
     with open(path) as fh:
         try:
             values = json.load(fh)
@@ -123,63 +121,59 @@ def _read_config(path):
             raise UsageError(f"--config {path} is not valid JSON: {err}") from None
     if not isinstance(values, dict):
         raise UsageError(f"--config {path} must hold a JSON object")
-    return values
+    known = set().union(*actions.values()) - {"config"}
+    own, flags = actions[ns.subcommand], _COMMANDS[ns.subcommand][3]
+    for key, value in values.items():
+        if key not in known:
+            raise UsageError(f"--config {path}: no subcommand has a flag --{key}")
+        action = own.get(key)
+        if action is None:  # another subcommand's flag
+            continue
+        repeat = flags.get(key, {}).get("action") == "append"
+        items = [_config_value(key, action, item)
+                 for item in (value if repeat and type(value) is list else [value])]
+        if action.dest not in ns:  # argv gave it: no two flags share a dest
+            for item in items:
+                action(parser, ns, item, f"--{key}")
 
 
 def parse_config(argv):
     """argv -> RunConfig; config-file values are overridden by flags.
 
-    A value set neither by a flag nor in the config file keeps its RunConfig
-    default.  Only the rules of the command line itself are checked here; a
-    value outside the range of the engine that takes it is refused by that
-    engine, with ``UsageError``, when the command starts.
+    A config value goes through its flag's argparse action (_merge_config);
+    a value set neither way keeps its RunConfig default. Only the command
+    line's own rules are checked here: each engine refuses a value outside
+    its range, with ``UsageError``, when the command starts.
     """
-    given = vars(_build_parser().parse_args(argv))
+    parser, actions = _build_parser()
+    ns = parser.parse_args(argv)
+    given, cmd = vars(ns), ns.subcommand  # given is ns's own dict
     if "config" in given:
-        given = {**_read_config(given.pop("config")), **given}
-    if "format" in given:
-        given["fmt"] = given.pop("format")
+        _merge_config(given.pop("config"), parser, actions, ns)
+    for need in _COMMANDS[cmd][2]:
+        flags = need.split("|")
+        if not any(actions[cmd][flag].dest in given for flag in flags):
+            raise UsageError(f"'{cmd}' needs " + " or ".join(f"--{flag}" for flag in flags))
+    if "field_path" in given and given.keys() & {"h", "n"}:
+        raise UsageError("--field gives h and n; it cannot go with --h or --n")
 
-    spins = []
-    if given.get("spins"):
-        spins += [_parse_vec(tok) for tok in str(given["spins"]).split(";") if tok]
-    if given.get("spin"):
-        raw = given["spin"]
-        spins += [_parse_vec(t) for t in (raw if isinstance(raw, list) else [raw])]
-    given["spins"] = spins
-    if given.get("k"):
+    text = given.pop("spins", None)
+    spins = [_parse_vec(tok) for tok in (text or "").split(";") if tok]
+    if text is not None and not spins:
+        raise UsageError(f"--spins expects 'x,y,z;x,y,z;...', got {text!r}")
+    given["spins"] = spins + [_parse_vec(t) for t in given.pop("spin", [])]
+    if "k" in given:
         given["k"] = _parse_vec(given["k"])
     for key in ("h", "n"):
         if key in given and not isinstance(given[key], list):
             given[key] = [given[key]]
-    names = {f.name for f in fields(RunConfig)}
-    cfg = RunConfig(**{k: v for k, v in given.items() if k in names})
-    cmd = cfg.subcommand
+    cfg = RunConfig(**given)
     if cmd == "campaign" and "photons" not in given:
         from . import adiabatic
 
         cfg.photons = adiabatic.DEFAULT_PHOTONS
-
-    if cmd in ("preimage", "neighborhood", "link") and not cfg.spins:
-        raise UsageError(f"--spin is required for '{cmd}'")
     if cmd == "neighborhood" and len(cfg.spins) > 1:
         raise UsageError(f"'neighborhood' takes one --spin, got {len(cfg.spins)}")
-    if cmd == "neighborhood" and not (cfg.h or cfg.field_path):
-        raise UsageError("'neighborhood' needs --h (or --field)")
-    if cfg.eps is not None and cmd != "neighborhood":
-        raise UsageError(f"--eps is only valid for 'neighborhood', not '{cmd}'")
-
-    # values from a config file arrive untyped
-    try:
-        cfg.h = [float(h) for h in cfg.h]
-        cfg.n = [int(n) for n in cfg.n]
-        cfg.res, cfg.seed, cfg.threads = int(cfg.res), int(cfg.seed), int(cfg.threads)
-        if "photons" in given:
-            cfg.photons = int(cfg.photons)
-        if cfg.eps is not None:
-            cfg.eps = float(cfg.eps)
-    except (TypeError, ValueError) as err:
-        raise UsageError(f"invalid value: {err}") from None
     return cfg
 
 
@@ -328,18 +322,21 @@ def _analytic(cfg):
 
     return bzgrid.sample_state_field(model.HopfParams(cfg.h[0]), bzgrid.MeshSpec(cfg.n[0]))
 
+@_command("write the analytic ground-state field", h=_FLOAT, n=_INT)
 def _cmd_field(cfg):
     from . import bzgrid
 
     doc = bzgrid.field_to_dict(_analytic(cfg))
     return [_emit(cfg, f"field_h{_htag(cfg.h[0])}_n{cfg.n[0]}.json", doc)]
 
+@_command("Hopf index report (with slice Chern numbers)", h=_FLOAT, n=_INT)
 def _cmd_index(cfg):
     from . import invariants
 
     doc = invariants.index_report(_analytic(cfg))
     return [_emit(cfg, f"index_h{_htag(cfg.h[0])}_n{cfg.n[0]}.json", doc)]
 
+@_command("slice Chern numbers only", h=_FLOAT, n=_INT)
 def _cmd_chern(cfg):
     from . import invariants
 
@@ -347,6 +344,8 @@ def _cmd_chern(cfg):
     doc = {"h": cfg.h[0], "n": cfg.n[0], "chern_numbers": invariants.chern_numbers(curv)}
     return [_emit(cfg, f"chern_h{_htag(cfg.h[0])}_n{cfg.n[0]}.json", doc)]
 
+@_command("Hopf-index deviation vs mesh size",
+          h={"type": float, "action": "append"}, n={"type": int, "action": "append"})
 def _cmd_scaling(cfg):
     from . import invariants
 
@@ -361,6 +360,8 @@ def _cmd_scaling(cfg):
     rows.sort(key=lambda r: (r["h"], r["n"]))
     return [_emit(cfg, "scaling.json", {"rows": rows})]
 
+@_command("spin texture export (csv or json)", h=_FLOAT, n=_INT,
+          format={"choices": ["json", "csv"], "dest": "fmt"})
 def _cmd_texture(cfg):
     from . import bzgrid
 
@@ -380,6 +381,8 @@ def _cmd_texture(cfg):
     write_atomic(path, "\n".join(body))
     return [path]
 
+@_command("preimage loops of one spin target", needs="h spin",
+          h=_FLOAT, spin={"action": "append"}, res=_INT)
 def _cmd_preimage(cfg):
     from . import preimage
 
@@ -397,12 +400,15 @@ def _cmd_preimage(cfg):
         paths.append(_emit(spin_cfg, f"preimage_h{_htag(cfg.h[0])}_s{tag}.json", doc))
     return paths
 
+@_command("mesh sites within eps of a spin target", needs="spin eps h|field",
+          h=_FLOAT, n=_INT, spin={"action": "append"}, eps=_FLOAT,
+          field={"dest": "field_path", "help": "use a saved field instead of the analytic one"})
 def _cmd_neighborhood(cfg):
     from . import bzgrid, preimage
 
     spin = cfg.spins[0]
     preimage._check_neighborhood(spin, cfg.eps)  # before a field is read or sampled
-    if cfg.field_path:
+    if cfg.field_path is not None:
         try:
             f = bzgrid.load_field(cfg.field_path)
         except (KeyError, IndexError, TypeError, ValueError) as err:
@@ -415,6 +421,9 @@ def _cmd_neighborhood(cfg):
            "sites": [{"site": list(site), "bloch": vec.tolist()} for site, vec in sites]}
     return [_emit(cfg, f"neighborhood_h{_htag(f.params.h)}_n{f.n}.json", doc)]
 
+@_command("pairwise linking numbers of preimage loops", needs="h spins|spin",
+          h=_FLOAT, spins={"help": "semicolon-separated targets 'x,y,z;x,y,z;...'"},
+          spin={"action": "append"}, res=_INT)
 def _cmd_link(cfg):
     from . import preimage
 
@@ -422,6 +431,8 @@ def _cmd_link(cfg):
     doc.update({"h": cfg.h[0], "res": cfg.res})
     return [_emit(cfg, f"link_h{_htag(cfg.h[0])}.json", doc)]
 
+@_command("single-site passage: schedule, final state, fidelity", needs="h k",
+          h=_FLOAT, k={"help": "momentum in units of 2*pi, e.g. 0.4,0.3,0.5"})
 def _cmd_adiabatic(cfg):
     from . import adiabatic
 
@@ -438,6 +449,8 @@ def _cmd_adiabatic(cfg):
     }
     return [_emit(cfg, f"adiabatic_h{_htag(cfg.h[0])}.json", doc)]
 
+@_command("simulated tomography of a whole mesh", h=_FLOAT, n=_INT,
+          photons=_INT, seed=_INT, threads=_INT)
 def _cmd_campaign(cfg):
     from . import adiabatic, bzgrid
 
@@ -454,20 +467,6 @@ def _cmd_campaign(cfg):
     stats_doc.update({"h": cfg.h[0], "n": cfg.n[0], "photons": cfg.photons, "seed": cfg.seed})
     docs = {".field.json": bzgrid.field_to_dict(result.field), ".stats.json": stats_doc}
     return [_emit(replace(cfg, out=stem + ext), None, doc) for ext, doc in docs.items()]
-
-
-_COMMANDS = {
-    "field": _cmd_field,
-    "index": _cmd_index,
-    "chern": _cmd_chern,
-    "scaling": _cmd_scaling,
-    "texture": _cmd_texture,
-    "preimage": _cmd_preimage,
-    "neighborhood": _cmd_neighborhood,
-    "link": _cmd_link,
-    "adiabatic": _cmd_adiabatic,
-    "campaign": _cmd_campaign,
-}
 
 
 def _report(err):
@@ -493,7 +492,7 @@ def _report(err):
 def dispatch(cfg):
     """Run the configured engine; writes artifacts, returns the exit status."""
     try:
-        paths = _COMMANDS[cfg.subcommand](cfg)
+        paths = _COMMANDS[cfg.subcommand][0](cfg)
     except (HopfError, OSError, MemoryError) as err:
         return _report(err)
     for p in paths:

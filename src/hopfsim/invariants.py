@@ -342,10 +342,11 @@ def scaling_study(h, ns):
     """
     params = HopfParams(h)
     target = chi_infinity(h)
+    meshes = [MeshSpec(n) for n in sorted(ns)]  # every n is refused before any sampling
     rows = []
-    for n in sorted(ns):
-        res = hopf_index(sample_state_field(params, MeshSpec(n)))
-        rows.append(ScalingRow(n=n, chi=res.chi, deviation=abs(res.chi - target)))
+    for mesh in meshes:
+        res = hopf_index(sample_state_field(params, mesh))
+        rows.append(ScalingRow(n=mesh.n, chi=res.chi, deviation=abs(res.chi - target)))
     return rows
 
 

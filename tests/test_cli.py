@@ -76,12 +76,20 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     index = ["index", "--h", "2", "--config", str(conf)]
     neighborhood = ["neighborhood", "--config", str(conf), "--spin", "0,0,1", "--eps", "0.3"]
     link = ["link", "--h", "2.9", "--config", str(conf)]
+    texture = ["texture", "--h", "2", "--n", "4", "--config", str(conf)]
+    campaign = ["campaign", "--h", "2", "--n", "4", "--config", str(conf)]
     for text, argv in [("{not json", index), ('{"n": "abc"}', index), ("[6]", index),
-                       ('{"h": "two"}', neighborhood), ('{"spin": [[1, 0, 0]]}', link)]:
+                       ('{"h": "two"}', neighborhood), ('{"spin": [[1, 0, 0]]}', link),
+                       # each value is refused as its flag would refuse it
+                       ('{"n": 6.7}', index), ('{"format": "xml"}', texture),
+                       ('{"seed": 7.9}', campaign), ('{"n": true}', index),
+                       ('{"res": 32.5}', link + ["--spins", "1,0,0;0,1,0"]),
+                       ('{"nn": 6}', index), ('{"h": [2, 3]}', neighborhood),
+                       ('{"h": 1%s}' % ("0" * 399), neighborhood)]:
         conf.write_text(text)
         assert run_cli(argv, tmp_path) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 18 and all(line.startswith("usage error: ") for line in err)
+    assert len(err) == 26 and all(line.startswith("usage error: ") for line in err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json"]
 
 
@@ -93,9 +101,10 @@ def test_malformed_field_file_is_a_usage_error(tmp_path, capsys):
         bad.write_text(text)
         assert run_cli(argv + [str(bad)], tmp_path) == 2
         assert capsys.readouterr().err.startswith(f"usage error: --field {bad} ")
-    # a missing file stays an I/O error
-    assert run_cli(argv + [str(tmp_path / "missing.json")], tmp_path) == 3
-    assert json.loads(capsys.readouterr().err)["error"] == "IOError"
+    # a missing file, or an empty path, stays an I/O error
+    for path in (str(tmp_path / "missing.json"), ""):
+        assert run_cli(argv + [path], tmp_path) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "IOError"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
@@ -142,9 +151,16 @@ def test_out_of_range_h_or_res_is_a_usage_error(tmp_path, capsys, argv, message)
     assert list(tmp_path.iterdir()) == []
 
 
+_HUGE_MESH = ("mesh needs n < 2**20 (n**3 float64 values pass numpy's largest array size), "
+              "got 1048576")
+
+
 @pytest.mark.parametrize("argv, message", [
-    *[([cmd, "--h", "2", "--n", "3"], "mesh needs n >= 4, got 3")
-      for cmd in ("field", "texture", "index", "chern", "scaling", "campaign")],
+    *[([cmd, "--h", "2", "--n", n], message)
+      for cmd in ("field", "texture", "index", "chern", "scaling", "campaign")
+      for n, message in [("3", "mesh needs n >= 4, got 3"), (str(2**20), _HUGE_MESH)]],
+    # scaling refuses every n before it samples the first
+    (["scaling", "--h", "2", "--n", "6", "--n", str(2**20)], _HUGE_MESH),
     (["campaign", "--h", "2", "--n", "4", "--threads", "-1"], "threads must be >= 0, got -1"),
     (["campaign", "--h", "2", "--n", "4", "--photons", "2"],
      "need 3 to 3 * (2**63 - 1) photons, got 2"),
@@ -213,6 +229,79 @@ def test_config_file_h_gives_the_artifact_of_the_flag(tmp_path, capsys):
     capsys.readouterr()
     assert docs["config"] == docs["flag"]
     assert docs["flag"][0] == "neighborhood_h2p0_n4.json" and docs["flag"][1]["h"] == 2.0
+
+
+# a value for each flag some command needs, given unless it is the flag tested
+_NEEDED = {"h": ["--h", "2"], "spin": ["--spin", "0,0,1"], "eps": ["--eps", "0.3"],
+           "k": ["--k", "0.1,0.2,0.3"], "spins": ["--spins", "1,0,0;0,1,0"]}
+_json_scalars = st.one_of(
+    st.sampled_from(["2", "6", "0,0,1", "1,0,0;0,1,0", "json", "csv", "out.json"]),
+    st.text(max_size=8), st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-10**400, max_value=10**400),
+    st.floats(), st.integers(-10**6, 10**6).map(float))
+_json_values = st.one_of(
+    _json_scalars,
+    st.lists(st.one_of(_json_scalars, st.lists(_json_scalars, max_size=2)), max_size=3))
+_ACTIONS = cli._build_parser()[1]
+
+
+def _flag_argv(flag, action, value):
+    """The argv a config value stands for: a list is the flag repeated, and
+    an int flag's integral float is its integer."""
+    if type(value) is list:
+        return [arg for item in value for arg in _flag_argv(flag, action, item)]
+    if type(value) is float:
+        text = str(int(value)) if action.type is int and value.is_integer() else repr(value)
+    else:
+        text = value if type(value) is str else json.dumps(value)
+    return [f"--{flag}={text}"]
+
+
+@pytest.mark.parametrize("cmd, flag", [(cmd, flag) for cmd in _ACTIONS for flag in _ACTIONS[cmd]])
+@settings(max_examples=20, deadline=None)
+@given(value=_json_values)
+def test_a_config_value_acts_as_its_flag(tmp_path_factory, cmd, flag, value):
+    argv = [cmd]
+    for need in cli._COMMANDS[cmd][2]:
+        if flag not in need.split("|"):
+            argv += _NEEDED[need.split("|")[0]]
+    conf = tmp_path_factory.getbasetemp() / "config_value.json"
+    conf.write_text(json.dumps({flag: value}))
+    try:
+        from_config = cli.parse_config(argv + ["--config", str(conf)])
+    except UsageError:
+        return
+    # a list holds the values of a repeatable flag only
+    assert type(value) is not list or cli._COMMANDS[cmd][3].get(flag, {}).get("action") == "append"
+    from_flag = cli.parse_config(argv + _flag_argv(flag, _ACTIONS[cmd][flag], value))
+    assert repr(from_config) == repr(from_flag)  # repr: nan == nan
+
+
+def test_config_file_h_and_n_give_the_index_artifact_of_the_flags(tmp_path, capsys):
+    # a config file may give the flags a command needs
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"h": 2, "n": 6}))
+    texts = []
+    for argv in (["--config", str(conf)], ["--h", "2", "--n", "6"]):
+        assert run_cli(["index", *argv, "--out", "index.json"], tmp_path) == 0
+        texts.append([line for line in (tmp_path / "index.json").read_text().splitlines()
+                      if "generated_at" not in line])
+    capsys.readouterr()
+    assert texts[0] == texts[1]
+
+
+def test_field_with_h_or_n_is_a_usage_error(tmp_path, capsys):
+    # --field gives h and n; a --h or --n beside it would be dropped unseen
+    assert run_cli(["field", "--h", "2", "--n", "4", "--out", "f.json"], tmp_path) == 0
+    capsys.readouterr()
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"h": 2}))
+    argv = ["neighborhood", "--field", "f.json", "--spin", "0,0,1", "--eps", "0.3"]
+    for extra in (["--h=-2", "--n", "20"], ["--h", "2"], ["--n", "4"], ["--config", str(conf)]):
+        assert run_cli(argv + extra, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "usage error: --field gives h and n; it cannot go with --h or --n\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json", "f.json"]
 
 
 def test_index_artifact_roundtrip(tmp_path, capsys):
@@ -582,6 +671,11 @@ def test_engine_error_json_exit_1(tmp_path, capsys):
                    tmp_path) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "GaplessPoint" and "k=" in err["message"]
+    # the largest mesh MeshSpec takes fails at its first allocation
+    for cmd in ("index", "scaling", "campaign"):
+        assert run_cli([cmd, "--h", "2", "--n", str(2**20 - 1)], tmp_path) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "MemoryError"
+    assert list(tmp_path.iterdir()) == []
 
 
 class _ArrayTooLarge(MemoryError):

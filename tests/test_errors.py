@@ -23,6 +23,8 @@ def _field():
     (lambda: HopfParams(-1e76), "|h| must be <= 1e+75, got -1e+76"),
     (lambda: HopfParams(2.0, omega=0.0), "omega must be positive and finite, got 0.0"),
     (lambda: MeshSpec(3), "mesh needs n >= 4, got 3"),
+    (lambda: MeshSpec(2**20), "mesh needs n < 2**20 (n**3 float64 values pass numpy's "
+                              "largest array size), got 1048576"),
     (lambda: MeshSpec(10.0), "mesh size n must be an integer, got 10.0"),
     (lambda: preimage._unit_target((1.0, 0.0)), "spin target must be a 3-vector"),
     (lambda: preimage._unit_target((np.inf, 0, 0)), "spin target must be finite"),
@@ -74,3 +76,13 @@ def test_a_refused_campaign_evaluates_no_model(monkeypatch):
     for kw in ({"threads": -1}, {"photons_per_site": 2}, {"seed": -1}):
         with pytest.raises(UsageError):
             adiabatic.run_campaign(H2, MeshSpec(4), **kw)
+
+
+def test_a_refused_scaling_study_samples_no_mesh(monkeypatch):
+    # every mesh size is checked before the first is sampled
+    def fail(*args):
+        raise AssertionError("a mesh sampled before every n was checked")
+
+    monkeypatch.setattr(invariants, "sample_state_field", fail)
+    with pytest.raises(UsageError, match=re.escape("mesh needs n < 2**20")):
+        invariants.scaling_study(2.0, [6, 2**20])
