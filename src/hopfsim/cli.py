@@ -132,7 +132,7 @@ def _merge_config(path, parser, actions, ns):
         repeat = flags.get(key, {}).get("action") == "append"
         items = [_config_value(key, action, item)
                  for item in (value if repeat and type(value) is list else [value])]
-        if action.dest not in ns:  # argv gave it: no two flags share a dest
+        if action.dest not in ns:  # argv did not give it (no two flags share a dest)
             for item in items:
                 action(parser, ns, item, f"--{key}")
 
