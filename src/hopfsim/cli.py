@@ -156,6 +156,8 @@ def parse_config(argv):
             raise UsageError(f"'{cmd}' needs " + " or ".join(f"--{flag}" for flag in flags))
     if "field_path" in given and given.keys() & {"h", "n"}:
         raise UsageError("--field gives h and n; it cannot go with --h or --n")
+    if given.get("out") == "":
+        raise UsageError("--out needs a path, got ''")
 
     text = given.pop("spins", None)
     spins = [_parse_vec(tok) for tok in (text or "").split(";") if tok]

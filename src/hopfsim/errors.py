@@ -14,14 +14,6 @@ class GaplessPoint(HopfError):
         self.k = k
 
 
-class DegenerateEta(HopfError):
-    """Both complex components of the torus -> S3 map vanish."""
-
-
-class PoleSingular(HopfError):
-    """Stereographic projection evaluated at (or too close to) its pole."""
-
-
 class ChartExhausted(HopfError):
     """A curve passes through the pole neighbourhood of both stereographic charts."""
 
@@ -74,10 +66,6 @@ class InconsistentLinks(HopfError):
 
 class CurvesTooClose(HopfError):
     """Two polylines approach closer than the separation tolerance."""
-
-
-class NotClosed(HopfError):
-    """Operation requires closed polylines."""
 
 
 class EmptyInput(HopfError):

@@ -10,8 +10,8 @@ H_k = omega * u(k) . sigma with dimensionless coefficients
     C(k) = cos kx + cos ky + cos kz + h
 
 The module also provides the factorisation of k -> u(k)/|u(k)| through the
-3-sphere (map ``eta`` then the classic fibration ``hopf_f``) together with
-stereographic charts of S3, which is how preimage loops get embedded in R3.
+3-sphere (map ``eta`` then the classic fibration ``hopf_f``), through which
+``preimage.embed_r3`` draws preimage loops in R3.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEta, GaplessPoint, PoleSingular, UsageError
+from .errors import GaplessPoint, UsageError
 
 GAP_TOL = 1e-12
 POLE_DELTA = 1e-9
@@ -204,18 +204,15 @@ def map_g(k, params):
 
     Raises
     ------
-    DegenerateEta
-        If both complex components vanish (equivalently |u(k)| = 0 there).
+    GaplessPoint
+        If |eta|^2 = |u(k)| < 1e-12 anywhere in the batch.
     """
     eta_up, eta_down = eta_of_k(k, params)
     eta = np.stack(
         [eta_up.real, eta_up.imag, eta_down.real, eta_down.imag], axis=-1
     )
     norm = np.linalg.norm(eta, axis=-1)
-    if np.any(norm < GAP_TOL):
-        raise DegenerateEta(
-            "both components of the S3 map vanish (gap closes at this momentum)"
-        )
+    _check_gapped(norm * norm, k)
     return eta / norm[..., None]
 
 
@@ -234,34 +231,3 @@ def hopf_f(eta_up, eta_down):
     )
     return u
 
-
-def stereographic_embed(eta, chart="plus"):
-    """Stereographic chart of S3 onto R3.
-
-    chart "plus" maps (e1, e2, e3, e4) -> (e1, e2, e3) / (1 + e4) and is
-    singular at e4 = -1; chart "minus" divides by (1 - e4) with the third
-    coordinate negated (so both charts induce the same orientation) and is
-    singular at e4 = +1.
-
-    Raises
-    ------
-    PoleSingular
-        If any point comes within POLE_DELTA of the active chart's pole.
-    """
-    eta = np.asarray(eta, dtype=float)
-    e4 = eta[..., 3]
-    if chart == "plus":
-        denom = 1.0 + e4
-        out = eta[..., :3].copy()
-    elif chart == "minus":
-        denom = 1.0 - e4
-        out = eta[..., :3].copy()
-        out[..., 2] = -out[..., 2]
-    else:
-        raise ValueError(f"unknown chart {chart!r}; expected 'plus' or 'minus'")
-    if np.any(denom <= POLE_DELTA):
-        raise PoleSingular(
-            f"point within {POLE_DELTA:g} of the {chart} chart pole; "
-            "re-project from the antipodal chart"
-        )
-    return out / denom[..., None]

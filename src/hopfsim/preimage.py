@@ -41,7 +41,6 @@ from .errors import (
     ChartExhausted,
     CurvesTooClose,
     InconsistentLinks,
-    NotClosed,
     ResolutionTooCoarse,
     UsageError,
     WindingLoops,
@@ -59,11 +58,10 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass
 class Polyline:
-    """Oriented curve; closed polylines do not repeat the first vertex."""
+    """Oriented closed curve; the first vertex is not repeated at the end."""
 
     vertices: np.ndarray
     coords: str = "T3"  # T3 or R3
-    closed: bool = True
     target: tuple | None = None
     h: float | None = None
     chart: str | None = None
@@ -74,7 +72,7 @@ class Polyline:
             raise ValueError(f"vertices must be (m, 3), got {self.vertices.shape}")
         if self.coords not in ("T3", "R3"):
             raise ValueError(f"unknown coordinate system {self.coords!r}")
-        if self.closed and len(self.vertices) < 3:
+        if len(self.vertices) < 3:
             raise ValueError("closed polylines need at least 3 vertices")
         if self.coords == "T3":
             self.vertices = np.mod(self.vertices, TWO_PI)
@@ -89,7 +87,7 @@ class Polyline:
 def polyline_to_dict(c):
     d = {
         "coords": c.coords,
-        "closed": c.closed,
+        "closed": True,
         "vertices": c.vertices.tolist(),
     }
     if c.target is not None:
@@ -102,10 +100,11 @@ def polyline_to_dict(c):
 
 
 def polyline_from_dict(d):
+    if d["closed"] is not True:
+        raise ValueError(f"polylines are closed loops; got closed={d['closed']!r}")
     return Polyline(
         np.asarray(d["vertices"], dtype=float),
         coords=d["coords"],
-        closed=bool(d["closed"]),
         target=tuple(d["target"]) if "target" in d else None,
         h=d.get("h"),
         chart=d.get("chart"),
@@ -207,7 +206,7 @@ def refined_preimage(params, targets, res=64):
             inverse = np.linalg.pinv(_spin_jacobian(c.vertices, params), rcond=1e-8)
             kverts = _dedupe(np.mod(c.vertices + np.einsum("mij,mj->mi", inverse, s - n_here), TWO_PI))
             if len(kverts) >= 3:
-                refined.append(Polyline(kverts, "T3", True, tuple(s), params.h))
+                refined.append(Polyline(kverts, "T3", tuple(s), params.h))
         out.append(sorted(refined, key=lambda c: c.vertices[:, 0].min()))
     return out
 
@@ -231,7 +230,7 @@ def _preimages(sample, res, targets):
             verts = np.mod(loop[:, :3] * (TWO_PI / res), TWO_PI)
             verts = verts[(verts != np.roll(verts, 1, axis=0)).any(axis=1)]
             if loop[0, 3] > 0 and len(verts) >= 3:  # b.s <= 0 is a loop of -s
-                loops.append(Polyline(verts, "T3", True, tuple(s)))
+                loops.append(Polyline(verts, "T3", tuple(s)))
         out.append(loops)
     return out
 
@@ -486,11 +485,14 @@ def epsilon_neighborhood(f, target, epsilon):
 # embedding T3 -> S3 -> R3
 
 def embed_r3(c, params, chart="auto"):
-    """Embed a closed T3 polyline in R3 via the S3 map and a stereographic chart.
+    """Embed a T3 polyline in R3 via the S3 map and a stereographic chart.
 
-    With ``chart="auto"`` the chart with the larger pole clearance is used;
-    vertex count, closure and orientation are preserved.  The S3 map is
-    2*pi-periodic, so curves crossing the zone boundary need no unwrapping.
+    Chart "plus" maps (e1, e2, e3, e4) -> (e1, e2, e3) / (1 + e4), chart
+    "minus" -> (e1, e2, -e3) / (1 - e4), so both induce the same
+    orientation; with ``chart="auto"`` the chart with the larger pole
+    clearance is used.  Vertex count and orientation are preserved.  The S3
+    map is 2*pi-periodic, so curves crossing the zone boundary need no
+    unwrapping.
 
     Raises
     ------
@@ -502,8 +504,6 @@ def embed_r3(c, params, chart="auto"):
     """
     if c.coords != "T3":
         raise ValueError(f"embed_r3 expects a T3 polyline, got {c.coords}")
-    if not c.closed:
-        raise NotClosed("embed_r3 requires a closed polyline")
     if chart not in ("auto", "plus", "minus"):
         raise ValueError(f"unknown chart {chart!r}; expected 'auto', 'plus' or 'minus'")
 
@@ -513,8 +513,10 @@ def embed_r3(c, params, chart="auto"):
     if clearance[use] <= model.POLE_DELTA:
         poles = "both stereographic poles" if chart == "auto" else f"the {use} chart pole"
         raise ChartExhausted(f"curve passes within {model.POLE_DELTA:g} of {poles}")
-    verts = model.stereographic_embed(eta, chart=use)
-    return Polyline(verts, "R3", True, c.target, c.h, chart=use)
+    if use == "minus":
+        eta[:, 2:] = -eta[:, 2:]  # -e3, and 1 - e4 below
+    verts = eta[:, :3] / (1.0 + eta[:, 3:])
+    return Polyline(verts, "R3", c.target, c.h, chart=use)
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +528,11 @@ class LinkingNumber(NamedTuple):
     separation: float  # smallest vertex distance over the Gauss sums taken
 
 
-def _closed_r3(c, name):
+def _check_r3(c, name):
     if c.coords != "R3":
         raise ValueError(
             f"{name} must be in R3 coordinates (embed T3 curves first), got {c.coords}"
         )
-    if not c.closed:
-        raise NotClosed(f"{name} is not closed")
 
 
 class GaussSum(float):
@@ -716,11 +716,11 @@ def gauss_linking_number(a, b, tol_sep=TOL_SEP):
     ------
     CurvesTooClose
         If the minimum inter-curve vertex distance is below tol_sep.
-    NotClosed
-        If either polyline is open.
+    ValueError
+        If either polyline is not in R3 coordinates.
     """
-    _closed_r3(a, "first curve")
-    _closed_r3(b, "second curve")
+    _check_r3(a, "first curve")
+    _check_r3(b, "second curve")
     raw = gauss_linking_sum(a, b, tol_sep)
     value = int(np.rint(raw))
     return LinkingNumber(value, raw - value, raw.separation)
@@ -778,11 +778,11 @@ def linking_number_t3(a, b, tol_sep=TOL_SEP):
             "intrinsic linking needs zero-winding loops",
             windings=(wa.tolist(), wb.tolist()),
         )
-    la = Polyline(va, "R3", True)
+    la = Polyline(va, "R3")
     raw, separation = 0.0, np.inf
     for t in _image_translates(va.min(axis=0), va.max(axis=0), vb.min(axis=0), vb.max(axis=0)):
         shift = TWO_PI * np.array(t, float)
-        part = gauss_linking_sum(la, Polyline(vb + shift, "R3", True), tol_sep)
+        part = gauss_linking_sum(la, Polyline(vb + shift, "R3"), tol_sep)
         raw += part
         separation = min(separation, part.separation)
     value = int(np.rint(raw))

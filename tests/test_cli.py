@@ -72,6 +72,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert run_cli(["scaling", "--h", h, "--n", "6"], tmp_path) == 2
     for flags in (["--seed=-1"], ["--seed", str(2**64)], ["--photons", str(10**20)]):
         assert run_cli(["campaign", "--h", "2", "--n", "4", *flags], tmp_path) == 2
+    # an empty --out is refused, not read as no --out
+    assert run_cli(["chern", "--h", "2", "--n", "6", "--out", ""], tmp_path) == 2
+    assert run_cli(["campaign", "--h", "2", "--n", "4", "--out", ""], tmp_path) == 2
     conf = tmp_path / "conf.json"
     index = ["index", "--h", "2", "--config", str(conf)]
     neighborhood = ["neighborhood", "--config", str(conf), "--spin", "0,0,1", "--eps", "0.3"]
@@ -85,11 +88,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                        ('{"seed": 7.9}', campaign), ('{"n": true}', index),
                        ('{"res": 32.5}', link + ["--spins", "1,0,0;0,1,0"]),
                        ('{"nn": 6}', index), ('{"h": [2, 3]}', neighborhood),
-                       ('{"h": 1%s}' % ("0" * 399), neighborhood)]:
+                       ('{"h": 1%s}' % ("0" * 399), neighborhood), ('{"out": ""}', index)]:
         conf.write_text(text)
         assert run_cli(argv, tmp_path) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 26 and all(line.startswith("usage error: ") for line in err)
+    assert len(err) == 29 and all(line.startswith("usage error: ") for line in err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json"]
 
 
@@ -360,7 +363,7 @@ def test_preimage_artifact(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["target"] == [1.0, 0.0, 0.0] and len(doc["loops"]) == 1
     loop = polyline_from_dict(doc["loops"][0])
-    assert loop.coords == "T3" and loop.closed
+    assert loop.coords == "T3" and doc["loops"][0]["closed"] is True
 
 
 def test_preimage_of_several_spins_samples_one_grid(tmp_path, capsys, monkeypatch):

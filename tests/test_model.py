@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hopfsim.errors import DegenerateEta, GaplessPoint, PoleSingular
+from hopfsim.errors import GaplessPoint
 from hopfsim.model import (
     HopfParams,
     bloch_ground,
@@ -11,7 +11,6 @@ from hopfsim.model import (
     hopf_f,
     map_g,
     norms,
-    stereographic_embed,
     u_of_k,
 )
 
@@ -148,7 +147,7 @@ def test_map_g_examples(k, h, expected):
 
 
 def test_map_g_degenerate():
-    with pytest.raises(DegenerateEta):
+    with pytest.raises(GaplessPoint):
         map_g((0, PI, PI), HopfParams(1.0))
 
 
@@ -182,18 +181,3 @@ def test_gap_positive_on_meshes(h):
         kx, ky, kz = np.meshgrid(j, j, j, indexing="ij")
         norms = np.linalg.norm(u_of_k(np.stack([kx, ky, kz], -1), p), axis=-1)
         assert norms.min() > 0
-
-
-def test_stereographic_examples():
-    np.testing.assert_allclose(stereographic_embed([0, 0, 0, 1]), [0, 0, 0])
-    np.testing.assert_allclose(stereographic_embed([1, 0, 0, 0]), [1, 0, 0])
-    with pytest.raises(PoleSingular):
-        stereographic_embed([0, 0, 0, -1])
-    with pytest.raises(PoleSingular):
-        stereographic_embed([0, 0, 0, 1], chart="minus")
-    # minus chart flips the third coordinate to keep the orientation
-    np.testing.assert_allclose(
-        stereographic_embed([0, 0, 0.6, -0.8], chart="minus"), [0, 0, -1 / 3]
-    )
-    with pytest.raises(ValueError):
-        stereographic_embed([1, 0, 0, 0], chart="north")

@@ -17,7 +17,6 @@ from hopfsim.errors import (
     GaplessPoint,
     HopfError,
     InconsistentLinks,
-    NotClosed,
     ResolutionTooCoarse,
     WindingLoops,
 )
@@ -79,7 +78,7 @@ def reverse(c):
 
 def test_polyline_validation():
     with pytest.raises(ValueError):
-        Polyline(np.zeros((2, 3)), "R3", closed=True)
+        Polyline(np.zeros((2, 3)), "R3")
     with pytest.raises(ValueError):
         Polyline([[0, 0, 0], [0, 0, 0], [1, 1, 1]], "R3")
     with pytest.raises(ValueError):
@@ -87,7 +86,7 @@ def test_polyline_validation():
     with pytest.raises(ValueError, match="unknown coordinate system 'S3'"):
         Polyline([[0, 0, 0], [1, 0, 0], [0, 1, 0]], "S3")
     c = Polyline([[0, 0, 0], [1, 0, 0], [0, 1, 0]], "T3")
-    assert len(c) == 3 and c.closed
+    assert len(c) == 3
 
 
 def test_polyline_t3_reduced_mod_2pi():
@@ -99,9 +98,15 @@ def test_polyline_json_roundtrip():
     a = circle(m=16)
     a.target = (1.0, 0.0, 0.0)
     a.h = 2.9
-    b = polyline_from_dict(polyline_to_dict(a))
+    d = polyline_to_dict(a)
+    b = polyline_from_dict(d)
     assert np.array_equal(a.vertices, b.vertices)
-    assert b.coords == "R3" and b.closed and b.target == (1.0, 0.0, 0.0) and b.h == 2.9
+    assert d["closed"] is True
+    assert b.coords == "R3" and b.target == (1.0, 0.0, 0.0) and b.h == 2.9
+    # every polyline is a closed loop: a file saying otherwise is refused
+    for closed in (False, 1, None):
+        with pytest.raises(ValueError, match="polylines are closed loops"):
+            polyline_from_dict({**d, "closed": closed})
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +118,7 @@ def test_preimage_single_loops_at_h29():
         (loops,) = refined_preimage(p, [target], 64)
         assert len(loops) == 1
         c = loops[0]
-        assert c.closed and c.coords == "T3" and len(c) >= 3
+        assert c.coords == "T3" and len(c) >= 3
         dev = np.linalg.norm(
             bloch_ground(c.vertices, p) - np.asarray(target, float), axis=1
         )
@@ -672,46 +677,68 @@ def test_embed_preserves_count_and_closure():
     p = HopfParams(2.9)
     ((c,),) = refined_preimage(p, [(1, 0, 0)], 32)
     r3 = embed_r3(c, p)
-    assert len(r3) == len(c) and r3.closed and r3.coords == "R3"
+    assert len(r3) == len(c) and r3.coords == "R3"
     assert np.isfinite(r3.vertices).all()
     assert r3.chart in ("plus", "minus")
 
 
-def test_embed_requires_closed_t3():
-    p = HopfParams(2.9)
-    open_line = Polyline([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], "T3", closed=False)
-    with pytest.raises(NotClosed):
-        embed_r3(open_line, p)
-    with pytest.raises(ValueError):
-        embed_r3(circle(), p)  # already R3
+def test_embed_requires_t3():
+    with pytest.raises(ValueError, match="expects a T3 polyline"):
+        embed_r3(circle(), HopfParams(2.9))  # already R3
 
 
 def test_embed_degenerate_two_vertex_closed_is_rejected():
     with pytest.raises(ValueError):
-        Polyline([[0, 0, 0], [1, 1, 1]], "T3", closed=True)
+        Polyline([[0, 0, 0], [1, 1, 1]], "T3")
 
 
 def test_embed_chart_exhausted_on_double_pole_curve():
     # at h=2 the S3 image of k=(0,0,0) is exactly one pole and k=(pi,pi,pi)
     # the other, so a curve through both defeats both charts
     p = HopfParams(2.0)
-    c = Polyline(
-        [[0, 0, 0], [np.pi, np.pi, np.pi], [np.pi / 2, 0.1, 0.2]], "T3", closed=True
-    )
+    c = Polyline([[0, 0, 0], [np.pi, np.pi, np.pi], [np.pi / 2, 0.1, 0.2]], "T3")
     with pytest.raises(ChartExhausted):
         embed_r3(c, p)
 
 
 def test_embed_explicit_chart_checks_its_own_pole():
-    # at h=2 the curve through k=0 touches the plus chart's pole only
+    # at h=2 the S3 image of k=0 is the plus chart's pole e4=-1, and that of
+    # k=(pi,pi,pi) the minus chart's pole e4=+1; the other chart maps each
+    # to the origin
     p = HopfParams(2.0)
-    c = Polyline([[0, 0, 0], [0.3, 0.1, 0.2], [0.1, 0.4, 0.2]], "T3", closed=True)
+    near = np.array([[0, 0, 0], [0.3, 0.1, 0.2], [0.1, 0.4, 0.2]])
+    c = Polyline(near, "T3")
     assert embed_r3(c, p).chart == "minus"
-    assert embed_r3(c, p, chart="minus").chart == "minus"
+    r3 = embed_r3(c, p, chart="minus")
+    assert r3.chart == "minus"
+    np.testing.assert_allclose(r3.vertices[0], [0, 0, 0], atol=1e-12)
     with pytest.raises(ChartExhausted, match="of the plus chart pole"):
         embed_r3(c, p, chart="plus")
     with pytest.raises(ValueError, match="unknown chart"):
         embed_r3(c, p, chart="north")
+    c = Polyline(near + np.pi, "T3")
+    assert embed_r3(c, p).chart == "plus"
+    np.testing.assert_allclose(embed_r3(c, p, chart="plus").vertices[0], [0, 0, 0], atol=1e-12)
+    with pytest.raises(ChartExhausted, match="of the minus chart pole"):
+        embed_r3(c, p, chart="minus")
+
+
+@pytest.mark.parametrize("h, k, plus, minus", [
+    # map_g(k) = (0, 0, 0.6, -0.8): minus negates the third coordinate
+    (-2 / 3, (0, 0, np.pi / 2), (0, 0, 3), (0, 0, -1 / 3)),
+    # map_g(k) = (1, 0, 0, 0), on the equator of both charts
+    (0.0, (np.pi / 2, 0, np.pi), (1, 0, 0), (1, 0, 0)),
+])
+def test_embed_charts_on_known_s3_points(h, k, plus, minus):
+    p = HopfParams(h)
+    c = Polyline([k, np.add(k, (0.3, 0.1, 0.2)), np.add(k, (0.1, 0.4, 0.2))], "T3")
+    a, b = embed_r3(c, p, chart="plus"), embed_r3(c, p, chart="minus")
+    np.testing.assert_allclose(a.vertices[0], plus, atol=1e-12)
+    np.testing.assert_allclose(b.vertices[0], minus, atol=1e-12)
+    # the charts differ by an inversion in the unit sphere and a reflection
+    # of z, which together keep the orientation
+    inverted = a.vertices * (1, 1, -1) / (a.vertices**2).sum(axis=1)[:, None]
+    np.testing.assert_allclose(b.vertices, inverted, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -762,11 +789,9 @@ def test_linking_invariances():
 
 
 def test_linking_rejects_bad_inputs():
-    a, b = hopf_link_pair()
+    a, _ = hopf_link_pair()
     with pytest.raises(CurvesTooClose):
         gauss_linking_number(a, Polyline(a.vertices + 1e-5, "R3"))
-    with pytest.raises(NotClosed):
-        gauss_linking_number(a, Polyline(b.vertices, "R3", closed=False))
     t3 = Polyline([[0, 0, 0], [1, 0, 0], [0, 1, 0]], "T3")
     with pytest.raises(ValueError):
         gauss_linking_number(a, t3)
@@ -993,15 +1018,16 @@ def test_curves_sharing_a_vertex_are_too_close_at_any_tol_sep():
             gauss_linking_sum(triangle, square, tol_sep)
 
 
-def test_linking_t3_matches_r3_route_in_single_cover_phase():
+@pytest.mark.parametrize("chart", ["plus", "minus"])
+def test_linking_t3_matches_r3_route_in_single_cover_phase(chart):
     p = HopfParams(2.9)
     # the marched loops, as link_matrix links them
     bloch = model.bloch_grid(48, p)
     (a,) = preimage_contours(bloch, (1, 0, 0))
     (b,) = preimage_contours(bloch, (0, 1, 0))
     t3 = linking_number_t3(a, b)
-    r3 = gauss_linking_number(embed_r3(a, p, chart="plus"), embed_r3(b, p, chart="plus"))
-    assert t3.value == r3.value
+    r3 = gauss_linking_number(embed_r3(a, p, chart=chart), embed_r3(b, p, chart=chart))
+    assert t3.value == r3.value == -1
     assert abs(t3.residual) < 1e-6
 
 
