@@ -22,6 +22,15 @@ PROVENANCE_SIMULATED = "simulated-experiment"
 # bound on the unit norm of a spinor and on the physicality of a density matrix
 STATE_TOL = 1e-9
 
+# sites per slab of x-planes in the sampler, plaquettes and Coulomb solve;
+# a mesh with n <= 25 is one slab
+_SLAB_SITES = 2**14
+
+
+def _x_slabs(n):
+    step = max(1, _SLAB_SITES // n**2)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
 
 @dataclass(frozen=True)
 class MeshSpec:
@@ -38,10 +47,11 @@ class MeshSpec:
             raise UsageError(f"mesh needs n < 2**20 (n**3 float64 values pass numpy's "
                              f"largest array size), got {self.n}")
 
-    def points(self):
-        """All mesh momenta, shape (n, n, n, 3), indexed [jx, jy, jz]."""
+    def points(self, planes=slice(None)):
+        """Mesh momenta of the x-planes ``planes`` (all by default), shape
+        (planes, n, n, 3), indexed [jx, jy, jz]."""
         j = 2.0 * np.pi * np.arange(self.n) / self.n
-        kx, ky, kz = np.meshgrid(j, j, j, indexing="ij")
+        kx, ky, kz = np.meshgrid(j[planes], j, j, indexing="ij")
         return np.stack([kx, ky, kz], axis=-1)
 
     def site_k(self, site):
@@ -157,23 +167,32 @@ class StateField:
 def sample_state_field(params, mesh):
     """Analytic ground states on every mesh site.
 
+    One pass over slabs of x-planes checks the gap on the whole mesh, and a
+    second writes each slab's ``model.ground_state`` into the field.
+
     Raises
     ------
     GaplessPoint
         With the offending site, if the gap closes on the mesh.
     """
-    k = mesh.points()
-    mag = model.norms(model.u_of_k(k, params))  # u itself is not kept
-    if mag.min() < model.GAP_TOL:
-        site = tuple(int(x) for x in np.unravel_index(int(np.argmin(mag)), mag.shape))
+    least, first = np.inf, None
+    for planes in _x_slabs(mesh.n):
+        mag = model.norms(model.u_of_k(mesh.points(planes), params))  # u itself is not kept
+        j = int(np.argmin(mag))
+        if mag.flat[j] < least:  # the first minimum of the row-major mesh
+            least, first = mag.flat[j], planes.start * mesh.n**2 + j
+    if least < model.GAP_TOL:
+        site = tuple(int(x) for x in np.unravel_index(first, (mesh.n,) * 3))
         raise GaplessPoint(
             f"gap closes at mesh site {site}, k/2pi="
             f"{(np.asarray(site) / mesh.n).tolist()} for h={params.h}",
             k=mesh.site_k(site),
             site=site,
         )
-    del mag  # not held while ground_state forms its own u(k) and |u|
-    return StateField(mesh, params, model.ground_state(k, params))
+    psi = np.empty((mesh.n,) * 3 + (2,), dtype=complex)
+    for planes in _x_slabs(mesh.n):
+        psi[planes] = model.ground_state(mesh.points(planes), params)
+    return StateField(mesh, params, psi)
 
 
 def coverage_fraction(vectors, bins):
@@ -230,13 +249,16 @@ def field_to_dict(f):
 
 
 def field_from_dict(d):
-    n = int(d["n"])
+    """StateField of a field document; ValueError unless n is an integer
+    (not a bool) and kind is spinor or rho."""
+    n, kind = d["n"], d.get("kind", "spinor")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"field n must be an integer, got {n!r}")
+    if kind not in ("spinor", "rho"):
+        raise ValueError(f"unknown field kind {kind!r}; expected 'spinor' or 'rho'")
     entr = np.asarray(d["entries"], dtype=float)
     cplx = entr[:, 0::2] + 1j * entr[:, 1::2]
-    if d.get("kind", "spinor") == "rho":
-        data = cplx.reshape(n, n, n, 2, 2)
-    else:
-        data = cplx.reshape(n, n, n, 2)
+    data = cplx.reshape((n,) * 3 + ((2, 2) if kind == "rho" else (2,)))
     return StateField(
         MeshSpec(n),
         model.HopfParams(float(d["h"]), float(d.get("omega", 1.0))),

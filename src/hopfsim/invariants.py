@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bzgrid import MeshSpec, StateField, sample_state_field
+from .bzgrid import MeshSpec, StateField, _x_slabs, sample_state_field
 from .errors import NonIntegerFlux, NonzeroNetFlux, OrthogonalNeighbors, UsageError
 from .model import HopfParams
 
@@ -29,15 +29,16 @@ _CYCLIC = {0: (1, 2), 1: (2, 0), 2: (0, 1)}
 _ELIDE_BYTES = 256 * 1024
 
 
-def _times_temp(a, tmp):
-    """``a * tmp`` for a scratch array ``tmp``, evaluated as numpy evaluates
-    the expression when ``tmp`` is a temporary: in place in ``tmp`` from
-    _ELIDE_BYTES up, into a fresh array below.  numpy's complex product
-    rounds differently in those two forms (its vectorized kernel is not
-    bitwise commutative, and an in-place product of one element takes
-    another kernel), so links and fluxes stay bit for bit those of
-    ``a * np.roll(...)`` at every size."""
-    if tmp.nbytes >= _ELIDE_BYTES:
+def _times_temp(a, tmp, nbytes):
+    """``a * tmp`` for a scratch array ``tmp`` that stands for a temporary of
+    ``nbytes`` bytes (its own size, or that of the whole grid when ``tmp`` is
+    one slab of it), evaluated as numpy evaluates the expression on that
+    temporary: in place in ``tmp`` from _ELIDE_BYTES up, into a fresh array
+    below.  numpy's complex product rounds differently in those two forms
+    (its vectorized kernel is not bitwise commutative, and an in-place
+    product of one element takes another kernel), so links and fluxes stay
+    bit for bit those of ``a * np.roll(...)`` at every size."""
+    if nbytes >= _ELIDE_BYTES:
         return np.multiply(tmp, a, out=tmp)
     return a * tmp
 
@@ -51,6 +52,14 @@ def _roll_into(out, a, ax):
     return out
 
 
+def _roll_planes(out, a, ax, planes):
+    """out = np.roll(a, -1, axis=ax)[planes] for a slice of x-planes."""
+    if ax == 0:
+        rows = np.arange(planes.start + 1, planes.stop + 1)
+        return np.take(a, rows, axis=0, out=out, mode="wrap")
+    return _roll_into(out, a[planes], ax)
+
+
 def _grid_links(states, axes):
     """U(1) links <a|b> / |<a|b>| along the given axes of a periodic grid of
     spinors, states of shape grid + (2,); one complex array per axis.
@@ -60,13 +69,12 @@ def _grid_links(states, axes):
     # two component planes, not a sum over the length-2 spinor axis: numpy
     # runs such a reduction as one inner-loop call per site
     up, down = states[..., 0], states[..., 1]
-    up_bar, down_bar = np.conj(up), np.conj(down)
-    shifted = np.empty_like(up_bar)
-    mag = np.empty(up_bar.shape)
+    bar, shifted = np.empty_like(up), np.empty_like(up)  # bar: conj(up), then conj(down)
+    mag, size = np.empty(up.shape), bar.nbytes
     links = []
     for ax in axes:
-        ov = _times_temp(up_bar, _roll_into(np.empty_like(up_bar), up, ax))
-        ov += _times_temp(down_bar, _roll_into(shifted, down, ax))
+        ov = _times_temp(np.conjugate(up, out=bar), _roll_into(np.empty_like(up), up, ax), size)
+        ov += _times_temp(np.conjugate(down, out=bar), _roll_into(shifted, down, ax), size)
         np.abs(ov, out=mag)
         if mag.min() <= TOL_OVERLAP:
             site = tuple(int(x) for x in np.unravel_index(int(np.argmin(mag)), mag.shape))
@@ -76,16 +84,6 @@ def _grid_links(states, axes):
         ov /= mag
         links.append(ov)
     return links
-
-
-def _plaquettes(u_nu, u_tau, nu, tau, buf, work):
-    """U_nu(k) U_tau(k+nu) U_nu(k+tau)^-1 U_tau(k)^-1 on every (nu, tau)
-    plaquette of a periodic grid of links; ``buf`` and ``work`` are scratch
-    arrays of the same shape, and on large grids the result is ``buf``."""
-    plaq = _times_temp(u_nu, _roll_into(buf, u_tau, nu))
-    plaq *= np.conjugate(_roll_into(work, u_nu, tau), out=work)
-    plaq *= np.conjugate(u_tau, out=work)
-    return plaq
 
 
 @dataclass
@@ -119,18 +117,26 @@ def berry_curvature(f: StateField):
 
     F_mu = Im ln [ U_nu(k) U_tau(k+nu) U_nu(k+tau)^-1 U_tau(k)^-1 ] / 2pi
     with (mu, nu, tau) cyclic.  Gauge-invariant: per-site phases cancel in
-    the closed plaquette product.
+    the closed plaquette product.  The plaquettes are formed one slab of
+    x-planes at a time, straight into the flux array.
     """
     links = _grid_links(f.pure_states(), axes=(0, 1, 2))
     n = f.n
     values = np.empty((3, n, n, n))
-    buf, work = np.empty_like(links[0]), np.empty_like(links[0])
+    buf, work = (np.empty_like(links[0][_x_slabs(n)[0]]) for _ in range(2))
     for mu in range(3):
         nu, tau = _CYCLIC[mu]
-        plaq = _plaquettes(links[nu], links[tau], nu, tau, buf, work)
-        layer = values[mu]
-        np.arctan2(plaq.imag, plaq.real, out=layer)  # np.angle, in place
-        layer /= 2.0 * np.pi
+        u_nu, u_tau = links[nu], links[tau]
+        for planes in _x_slabs(n):
+            b, w = buf[: planes.stop - planes.start], work[: planes.stop - planes.start]
+            # U_nu(k) U_tau(k+nu), in the operand order of the whole grid's product
+            plaq = _times_temp(u_nu[planes], _roll_planes(b, u_tau, nu, planes),
+                               u_tau.nbytes)
+            plaq *= np.conjugate(_roll_planes(w, u_nu, tau, planes), out=w)
+            plaq *= np.conjugate(u_tau[planes], out=w)
+            layer = values[mu, planes]
+            np.arctan2(plaq.imag, plaq.real, out=layer)  # np.angle, in place
+            layer /= 2.0 * np.pi
     return CurvatureField(f.mesh, values)
 
 
@@ -189,6 +195,10 @@ def berry_connection(curv: CurvatureField):
     the choice that keeps the spectral solve well-posed at every nonzero mode
     for every n; the zero mode of A is set to zero.
 
+    Three complex n^3 buffers: the transforms of F_0 and F_1, then the modes
+    of A_2 in the third, which after its inverse transform takes that of F_2;
+    the modes of A_0 then overwrite F_1's, and those of A_1 F_0's.
+
     Raises
     ------
     NonzeroNetFlux
@@ -208,46 +218,38 @@ def berry_connection(curv: CurvatureField):
                 flux=float(sums[worst]),
             )
 
-    fhat = np.empty(curv.values.shape, dtype=complex)
-    for mu in range(3):
-        _fftn_real(curv.values[mu], fhat[mu])
     m = np.fft.fftfreq(n, d=1.0 / n)  # integer mode numbers
     d = np.exp(2j * np.pi * m / n) - 1.0
-    dbar = [_along(np.conj(d), ax) for ax in range(3)]
-    sq = np.abs(d) ** 2
-    denom = _along(sq, 0) + _along(sq, 1) + _along(sq, 2)
-    denom[0, 0, 0] = 1.0  # zero mode handled below
     a = np.empty_like(curv.values)
-    ahat, term = np.empty_like(fhat[0]), np.empty_like(fhat[0])
-    for mu in range(3):
-        nu, tau = _CYCLIC[mu]
-        np.multiply(dbar[nu], fhat[tau], out=ahat)
-        ahat -= np.multiply(dbar[tau], fhat[nu], out=term)
-        np.negative(ahat, out=ahat)
-        ahat /= denom
-        ahat[0, 0, 0] = 0.0
-        a[mu] = np.fft.ifftn(ahat, out=ahat).real
+    fhat = [_fftn_real(curv.values[mu], np.empty((n, n, n), dtype=complex))
+            for mu in (0, 1)] + [np.empty((n, n, n), dtype=complex)]
+    a[2] = np.fft.ifftn(_coulomb_modes(2, fhat, d, out=fhat[2]), out=fhat[2]).real
+    _fftn_real(curv.values[2], fhat[2])
+    a[0] = np.fft.ifftn(_coulomb_modes(0, fhat, d, out=fhat[1]), out=fhat[1]).real
+    a[1] = np.fft.ifftn(_coulomb_modes(1, fhat, d, out=fhat[0]), out=fhat[0]).real
     return ConnectionField(curv.mesh, a)
 
 
-def lattice_curl(conn: ConnectionField):
-    """Forward-difference curl of a connection, same layout as a curvature."""
-    a = conn.values
-
-    def dfwd(arr, ax):
-        return np.roll(arr, -1, axis=ax) - arr
-
-    out = np.empty_like(a)
-    for mu in range(3):
-        nu, tau = _CYCLIC[mu]
-        out[mu] = dfwd(a[tau], nu) - dfwd(a[nu], tau)
+def _coulomb_modes(mu, fhat, d, out):
+    """Modes -(conj(d_nu) F_tau - conj(d_tau) F_nu) / |d|^2 of A_mu, (mu, nu,
+    tau) cyclic, zero at the zero mode, from the transforms ``fhat`` of F.
+    Written one slab of x-planes at a time, each slab's F_nu read before it
+    is written, so ``out`` may be fhat[nu] or fhat[tau]."""
+    nu, tau = _CYCLIC[mu]
+    dbar, sq = np.conj(d), np.abs(d) ** 2
+    work = np.empty_like(out[_x_slabs(len(d))[0]])
+    for s in _x_slabs(len(d)):
+        dbar_s, sq_s = ([vec[s, None, None], vec[:, None], vec] for vec in (dbar, sq))
+        term = np.multiply(dbar_s[tau], fhat[nu][s], out=work[: s.stop - s.start])
+        ahat = np.multiply(dbar_s[nu], fhat[tau][s], out=out[s])
+        ahat -= term
+        np.negative(ahat, out=ahat)
+        denom = sq_s[0] + sq_s[1] + sq_s[2]
+        if s.start == 0:
+            denom[0, 0, 0] = 1.0  # the zero mode, set to 0 below
+        ahat /= denom
+    out[0, 0, 0] = 0.0
     return out
-
-
-def lattice_divergence(conn: ConnectionField):
-    """Adjoint (backward-difference) divergence; zero for the Coulomb gauge."""
-    a = conn.values
-    return sum(a[nu] - np.roll(a[nu], 1, axis=nu) for nu in range(3))
 
 
 @dataclass
@@ -260,30 +262,34 @@ class HopfIndexResult:
     chern_numbers: dict
 
 
-def _recenter_to_sites(curv, conn):
-    """Fourier half-cell shifts moving F (plaquette centers) and A (edge
+def _site_products(curv, conn):
+    """F_mu A_mu at the mesh sites, shape (3, n, n, n); minus their sum is
+    the Hopf index.
+
+    Fourier half-cell shifts move F (plaquette centers) and A (edge
     midpoints) onto mesh sites, so the F . A integrand pairs values at the
-    same point.  Contracting the raw staggered fields instead costs roughly
-    a factor 2.5 in the discretization error of the index."""
+    same point; each shifted A component is multiplied into the shifted F
+    component that the result holds.  Contracting the raw staggered fields
+    instead costs roughly a factor 2.5 in the discretization error of the
+    index."""
     n = curv.mesh.n
     m = np.fft.fftfreq(n, d=1.0 / n)
     half = np.exp(-1j * np.pi * m / n)
 
     buf = np.empty((n, n, n), dtype=complex)
 
-    def shift(arr, axes, out):
+    def shifted(arr, axes):
         ah = _fftn_real(arr, buf)
         for ax in axes:
             ah *= _along(half, ax)
-        out[...] = np.fft.ifftn(ah, out=ah).real
+        return np.fft.ifftn(ah, out=ah).real
 
-    f_sites = np.empty_like(curv.values)
-    a_sites = np.empty_like(conn.values)
+    prod = np.empty_like(curv.values)
     for mu in range(3):
         nu, tau = _CYCLIC[mu]
-        shift(curv.values[mu], (nu, tau), f_sites[mu])
-        shift(conn.values[mu], (mu,), a_sites[mu])
-    return f_sites, a_sites
+        prod[mu] = shifted(curv.values[mu], (nu, tau))
+        prod[mu] *= shifted(conn.values[mu], (mu,))
+    return prod
 
 
 def hopf_index(f: StateField):
@@ -292,16 +298,15 @@ def hopf_index(f: StateField):
     With F in flux/2pi units and A from the lattice solve, the plain lattice
     sum needs no extra volume factor; the quantized values of the phase
     diagram fix the normalization.  F and A are spectrally re-centered onto
-    the mesh sites before contraction (see _recenter_to_sites).  The slice
-    Chern numbers come from the same curvature, once berry_connection has
-    found them all zero.
+    the mesh sites and multiplied there in one pass (see _site_products),
+    which holds one real (3, n, n, n) product array and one complex n^3
+    transform buffer.  The slice Chern numbers come from the same
+    curvature, once berry_connection has found them all zero.
     """
     curv = berry_curvature(f)
     conn = berry_connection(curv)
     cherns = chern_numbers(curv)
-    f_sites, a_sites = _recenter_to_sites(curv, conn)
-    f_sites *= a_sites
-    chi = -float(np.sum(f_sites))
+    chi = -float(np.sum(_site_products(curv, conn)))
     nearest = int(np.rint(chi))
     return HopfIndexResult(
         chi=chi,

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import permutations, product
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -100,12 +101,23 @@ def polyline_to_dict(c):
 
 
 def polyline_from_dict(d):
+    """Polyline of a ``polyline_to_dict`` document; ValueError, naming the
+    key, for a missing or malformed key."""
+    for key in ("closed", "vertices", "coords"):
+        if key not in d:
+            raise ValueError(f"polyline document lacks {key!r}")
     if d["closed"] is not True:
         raise ValueError(f"polylines are closed loops; got closed={d['closed']!r}")
+    target = d.get("target")
+    if "target" in d:
+        if not (isinstance(target, (list, tuple)) and len(target) == 3
+                and all(isinstance(x, Real) and not isinstance(x, bool) for x in target)):
+            raise ValueError(f"polyline target must be a sequence of 3 numbers, got {target!r}")
+        target = tuple(target)
     return Polyline(
         np.asarray(d["vertices"], dtype=float),
         coords=d["coords"],
-        target=tuple(d["target"]) if "target" in d else None,
+        target=target,
         h=d.get("h"),
         chart=d.get("chart"),
     )

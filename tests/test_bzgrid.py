@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hopfsim.bzgrid import (
     MeshSpec,
     StateField,
     coverage_fraction,
+    field_from_dict,
+    field_to_dict,
     sample_state_field,
     texture_rows,
 )
 from hopfsim.errors import EmptyInput, GaplessPoint
-from hopfsim.model import HopfParams
+from hopfsim.model import HopfParams, ground_state
 
 
 def test_mesh_spec():
@@ -55,6 +58,51 @@ def test_sample_state_field_gapless_names_the_first_closing_site():
         sample_state_field(HopfParams(1.0), MeshSpec(8))
     assert err.value.site == (0, 4, 4)
     np.testing.assert_array_equal(err.value.k, [0.0, np.pi, np.pi])
+
+
+@pytest.mark.parametrize("h, site", [(1.0, (0, 16, 16)), (3.0, (16, 16, 16))])
+def test_gapless_site_on_a_mesh_of_two_slabs(h, site):
+    # n = 32 is sampled in two slabs of 16 x-planes; at h = 3 the closing
+    # site lies in the second
+    with pytest.raises(GaplessPoint) as err:
+        sample_state_field(HopfParams(h), MeshSpec(32))
+    assert err.value.site == site
+    assert f"mesh site {site}, k/2pi=" in str(err.value)
+    np.testing.assert_array_equal(err.value.k, 2 * np.pi * np.array(site) / 32)
+
+
+@pytest.mark.parametrize("n", [6, 17, 26, 33, 64])
+def test_slab_wise_sampler_is_bit_identical_to_one_ground_state_call(n):
+    mesh, params = MeshSpec(n), HopfParams(-2.5)
+    f = sample_state_field(params, mesh)
+    ref = ground_state(mesh.points(), params)
+    assert f.data.dtype == ref.dtype and f.data.tobytes() == ref.tobytes()
+
+
+def test_sample_state_field_peak_memory_bound():
+    # the 8 MiB field, one slab's u(k) and the norm check of the field; the
+    # sampler that formed u(k) on the whole mesh twice peaked at 30.3 MiB
+    mesh, params = MeshSpec(64), HopfParams(2.0)
+    sample_state_field(params, mesh)
+    tracemalloc.start()
+    try:
+        sample_state_field(params, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"n": 4.7}, "n must be an integer, got 4.7"), ({"n": 4.0}, "n must be an integer"),
+    ({"n": True}, "n must be an integer, got True"), ({"n": "4"}, "n must be an integer"),
+    ({"kind": "xml"}, "unknown field kind 'xml'"),
+])
+def test_field_from_dict_refuses_a_bad_n_or_kind(change, match):
+    doc = field_to_dict(sample_state_field(HopfParams(2.0), MeshSpec(4)))
+    assert field_from_dict(doc).n == 4
+    with pytest.raises(ValueError, match=re.escape(match)):
+        field_from_dict({**doc, **change})
 
 
 def test_coverage_single_cell():

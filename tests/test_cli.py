@@ -100,7 +100,11 @@ def test_malformed_field_file_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     argv = ["neighborhood", "--spin", "0,0,1", "--eps", "0.3", "--field"]
     short = {"n": 4, "h": 2.0, "entries": [[1, 0, 0, 0]] * 5}
-    for text in ("{not json", '{"h": 2}', "[1]", json.dumps(short)):
+    # n = 6.7 used to load as n = 6, and an unknown kind as spinors
+    fractional = {"n": 6.7, "h": 2.0, "entries": [[1, 0, 0, 0]] * 6 ** 3}
+    xml = {"n": 6, "h": 2.0, "kind": "xml", "entries": [[1, 0, 0, 0]] * 6 ** 3}
+    for text in ("{not json", '{"h": 2}', "[1]", json.dumps(short), json.dumps(fractional),
+                 json.dumps(xml)):
         bad.write_text(text)
         assert run_cli(argv + [str(bad)], tmp_path) == 2
         assert capsys.readouterr().err.startswith(f"usage error: --field {bad} ")

@@ -11,7 +11,7 @@ from hopfsim.invariants import (
     TOL_OVERLAP,
     _along,
     _grid_links,
-    _recenter_to_sites,
+    _site_products,
     berry_connection,
     berry_curvature,
     chern_number,
@@ -19,8 +19,6 @@ from hopfsim.invariants import (
     chi_infinity,
     hopf_index,
     index_report,
-    lattice_curl,
-    lattice_divergence,
     scaling_study,
 )
 from hopfsim.model import HopfParams
@@ -221,12 +219,32 @@ def test_connection_zero_for_zero_curvature():
     assert np.abs(conn.values).max() == 0.0
 
 
+def _lattice_curl(conn):
+    """Forward-difference curl of a connection, same layout as a curvature."""
+    a = conn.values
+
+    def dfwd(arr, ax):
+        return np.roll(arr, -1, axis=ax) - arr
+
+    out = np.empty_like(a)
+    for mu in range(3):
+        nu, tau = _CYCLIC[mu]
+        out[mu] = dfwd(a[tau], nu) - dfwd(a[nu], tau)
+    return out
+
+
+def _lattice_divergence(conn):
+    """Adjoint (backward-difference) divergence; zero for the Coulomb gauge."""
+    a = conn.values
+    return sum(a[nu] - np.roll(a[nu], 1, axis=nu) for nu in range(3))
+
+
 def test_connection_curl_and_divergence():
     f = sample_state_field(HopfParams(2.0), MeshSpec(10))
     curv = berry_curvature(f)
     conn = berry_connection(curv)
-    assert np.abs(lattice_curl(conn) - curv.values).max() < 1e-10
-    assert np.abs(lattice_divergence(conn)).max() < 1e-10
+    assert np.abs(_lattice_curl(conn) - curv.values).max() < 1e-10
+    assert np.abs(_lattice_divergence(conn)).max() < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -393,17 +411,18 @@ def _variant(kind, n):
 
 # n = 26 is the smallest mesh whose complex arrays reach numpy's 256 KiB
 # temporary-elision size, where the allocating products swap their operands
+# (its first slab of 24 x-planes stays below it); n = 33 is cut into slabs of
+# 15, 15 and 3 planes, n = 40 into four of 10
 @pytest.mark.parametrize("kind", ["spinor", "rho", "gauge"])
-@pytest.mark.parametrize("n", [6, 10, 17, 26])
+@pytest.mark.parametrize("n", [6, 10, 17, 26, 33, 40])
 def test_in_place_pipeline_is_bit_identical_to_the_allocating_one(kind, n):
     f = _variant(kind, n)
     curv = berry_curvature(f)
     assert _same_bits(curv.values, _reference_curvature(f))
     conn = berry_connection(curv)
     assert _same_bits(conn.values, _reference_connection(curv))
-    f_sites, a_sites = _recenter_to_sites(curv, conn)
     ref_f, ref_a = _reference_recenter(curv, conn)
-    assert _same_bits(f_sites, ref_f) and _same_bits(a_sites, ref_a)
+    assert _same_bits(_site_products(curv, conn), ref_f * ref_a)
     assert hopf_index(f).chi == -float(np.sum(ref_f * ref_a))
 
 
@@ -433,9 +452,9 @@ def test_successive_calls_do_not_alias_earlier_results():
 
 
 def test_index_report_peak_memory_bound():
-    # the allocating pipeline peaked at 9.5 complex n^3 arrays; the in-place
-    # one at 8.8 (the spectral solve: three transforms, two work arrays, the
-    # curvature and the connection)
+    # the allocating pipeline peaked at 9.5 complex n^3 arrays, the in-place
+    # one at 8.8 and the slab-wise one at 7.3 (the spectral solve: three
+    # transform buffers, the curvature and the connection)
     n = 32
     f = sample_state_field(HopfParams(2.0), MeshSpec(n))
     index_report(f)
@@ -446,3 +465,19 @@ def test_index_report_peak_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak <= 9.0 * n ** 3 * 16
+
+
+def test_index_report_peak_memory_bound_n64():
+    # above its field: 4 MiB of links, then 3 complex n^3 buffers for the
+    # solve, beside the flux and connection arrays (24.6 MiB); the chain that
+    # kept both conjugate copies, a full-size solve and a separate recentered
+    # A peaked at 34.1 MiB
+    f = sample_state_field(HopfParams(2.0), MeshSpec(64))
+    index_report(f)
+    tracemalloc.start()
+    try:
+        index_report(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * 2**20

@@ -109,6 +109,23 @@ def test_polyline_json_roundtrip():
             polyline_from_dict({**d, "closed": closed})
 
 
+@pytest.mark.parametrize("change, key", [
+    ({"closed": "drop"}, "closed"), ({"vertices": "drop"}, "vertices"),
+    ({"coords": "drop"}, "coords"), ({"target": 5}, "target"),
+    ({"target": [1.0, 0.0]}, "target"), ({"target": "abc"}, "target"),
+    ({"target": [1.0, "0", 0.0]}, "target"), ({"target": [True, 0, 0]}, "target"),
+    ({"target": None}, "target"),
+])
+def test_polyline_from_dict_refuses_a_malformed_document(change, key):
+    # a document read from a file ends in ValueError naming its bad key, not
+    # in a bare KeyError or TypeError
+    d = {**polyline_to_dict(circle(m=16)), "target": [1.0, 0.0, 0.0]}
+    d.update(change)
+    d = {k: v for k, v in d.items() if v != "drop"}
+    with pytest.raises(ValueError, match=key):
+        polyline_from_dict(d)
+
+
 # ---------------------------------------------------------------------------
 # contour extraction
 
