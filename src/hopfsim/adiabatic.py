@@ -13,7 +13,9 @@ ramp-down is evolved once per distinct passage.  The steps are unit
 quaternions reduced by a pairwise tree, computed in a workspace of flat
 buffers that each campaign worker keeps for the whole campaign (at most
 ``SITE_CHUNK`` passages x the steps of one segment), so evolving a chunk
-allocates no large array.  The MLE has a closed form.
+allocates no large array.  The MLE is the linear inversion inside the
+Bloch ball; outside it, the KKT multiplier of the sphere is found by
+bracketed Newton steps with a bisection fallback, at most 100 iterations.
 Measurement, reconstruction and scoring run as arrays; per-site
 counter-based random streams make campaigns reproducible and independent
 of scheduling order.

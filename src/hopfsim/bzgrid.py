@@ -10,6 +10,7 @@ the invariant engines.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 
@@ -241,7 +242,6 @@ def field_to_dict(f):
     return {
         "n": f.n,
         "h": f.params.h,
-        "omega": f.params.omega,
         "provenance": f.provenance,
         "kind": f.kind,
         "entries": entries,
@@ -249,22 +249,42 @@ def field_to_dict(f):
 
 
 def field_from_dict(d):
-    """StateField of a field document; ValueError unless n is an integer
-    (not a bool) and kind is spinor or rho."""
-    n, kind = d["n"], d.get("kind", "spinor")
+    """StateField of a field document; ValueError, naming the key, for any
+    document but a JSON object whose n is an integer (not a bool), h a real
+    number (not a bool), kind spinor or rho, provenance analytic or
+    simulated-experiment, and entries n**3 rows of 4 (spinor) or 8 (rho)
+    reals. Any other key, such as generated_at, is ignored."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a field document is a JSON object, got {type(d).__name__}")
+    missing = [key for key in ("n", "h", "entries") if key not in d]
+    if missing:
+        raise ValueError(f"field document lacks {', '.join(missing)}")
+    n, h, kind = d["n"], d["h"], d.get("kind", "spinor")
+    provenance = d.get("provenance", PROVENANCE_ANALYTIC)
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"field n must be an integer, got {n!r}")
+    if isinstance(h, bool) or not isinstance(h, Real):
+        raise ValueError(f"field h must be a real number, got {h!r}")
     if kind not in ("spinor", "rho"):
         raise ValueError(f"unknown field kind {kind!r}; expected 'spinor' or 'rho'")
-    entr = np.asarray(d["entries"], dtype=float)
-    cplx = entr[:, 0::2] + 1j * entr[:, 1::2]
+    if provenance not in (PROVENANCE_ANALYTIC, PROVENANCE_SIMULATED):
+        raise ValueError(f"unknown field provenance {provenance!r}; expected "
+                         f"{PROVENANCE_ANALYTIC!r} or {PROVENANCE_SIMULATED!r}")
+    try:
+        params = model.HopfParams(float(h))
+    except OverflowError:  # an integer beyond the largest float
+        raise ValueError(f"field h is beyond the range of a float, got {h!r}") from None
+    mesh, rows = MeshSpec(n), (n**3, 8 if kind == "rho" else 4)
+    try:
+        entries = np.asarray(d["entries"], dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        entries = None
+    if entries is None or entries.shape != rows:
+        raise ValueError(f"field entries must be {rows[0]} rows of {rows[1]} reals "
+                         f"for n={n} and kind {kind!r}")
+    cplx = entries[:, 0::2] + 1j * entries[:, 1::2]
     data = cplx.reshape((n,) * 3 + ((2, 2) if kind == "rho" else (2,)))
-    return StateField(
-        MeshSpec(n),
-        model.HopfParams(float(d["h"]), float(d.get("omega", 1.0))),
-        data,
-        provenance=d.get("provenance", PROVENANCE_ANALYTIC),
-    )
+    return StateField(mesh, params, data, provenance=provenance)
 
 
 def load_field(path):

@@ -388,18 +388,23 @@ def _cmd_texture(cfg):
 def _cmd_preimage(cfg):
     from . import preimage
 
-    # one pass over the grid's planes marches every spin
-    loops_per_spin = preimage.refined_preimage(model.HopfParams(cfg.h[0]), cfg.spins, cfg.res)
     paths = []
-    for spin, loops in zip(cfg.spins, loops_per_spin):
-        doc = {"h": cfg.h[0], "target": list(spin), "res": cfg.res,
-               "loops": [preimage.polyline_to_dict(c) for c in loops]}
+    for spin in cfg.spins:
         tag = "_".join(f"{x:+.2f}" for x in spin)
-        spin_cfg = cfg
         if cfg.out and len(cfg.spins) > 1:
             base, ext = os.path.splitext(cfg.out)
-            spin_cfg = replace(cfg, out=f"{base}_s{tag}{ext}")
-        paths.append(_emit(spin_cfg, f"preimage_h{_htag(cfg.h[0])}_s{tag}.json", doc))
+            path = f"{base}_s{tag}{ext}"
+        else:
+            path = _outpath(cfg, f"preimage_h{_htag(cfg.h[0])}_s{tag}.json")
+        if path in paths:  # the tags round each component to 2 decimals
+            raise UsageError(f"two --spin targets would both be written to {path}")
+        paths.append(path)
+    # one pass over the grid's planes marches every spin
+    loops_per_spin = preimage.refined_preimage(model.HopfParams(cfg.h[0]), cfg.spins, cfg.res)
+    for spin, loops, path in zip(cfg.spins, loops_per_spin, paths):
+        doc = {"h": cfg.h[0], "target": list(spin), "res": cfg.res,
+               "loops": [preimage.polyline_to_dict(c) for c in loops]}
+        _emit(replace(cfg, out=path), None, doc)
     return paths
 
 @_command("mesh sites within eps of a spin target", needs="spin eps h|field",
@@ -413,7 +418,7 @@ def _cmd_neighborhood(cfg):
     if cfg.field_path is not None:
         try:
             f = bzgrid.load_field(cfg.field_path)
-        except (KeyError, IndexError, TypeError, ValueError) as err:
+        except ValueError as err:
             raise UsageError(
                 f"--field {cfg.field_path} is not a field file: {err!r}") from None
     else:

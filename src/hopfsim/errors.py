@@ -81,8 +81,8 @@ class NonConvergence(HopfError):
 
 
 class UsageError(HopfError, ValueError):
-    """An argument outside the range its engine accepts: a mesh size, an h
-    or omega, a spin target, a res, an eps, a photon count, a seed or a
-    thread count.  Each range is checked only by the engine that owns it;
-    the CLI turns the error into exit status 2, as it does its own parsing
-    errors.  It is a ``ValueError``, as the bare errors it replaces were."""
+    """An argument outside the range its engine accepts: a mesh size, an h,
+    a spin target, a res, an eps, a photon count, a seed or a thread count.
+    Each range is checked only by the engine that owns it; the CLI turns the
+    error into exit status 2, as it does its own parsing errors.  It is a
+    ``ValueError``, as the bare errors it replaces were."""

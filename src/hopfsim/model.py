@@ -2,7 +2,7 @@
 
 Everything in this module is a pure function of the momentum k (radians,
 periodic in 2*pi per axis) and the model parameters.  The Hamiltonian is
-H_k = omega * u(k) . sigma with dimensionless coefficients
+H_k = u(k) . sigma with dimensionless coefficients
 
     ux = 2 [ sin kx sin kz + C(k) sin ky ]
     uy = 2 [ C(k) sin kx  -  sin ky sin kz ]
@@ -29,21 +29,15 @@ H_MAX = 1e75  # |u(k)|^2 ~ h^4 overflows a float beyond about |h| = 1e77
 
 @dataclass(frozen=True)
 class HopfParams:
-    """Model parameters: dimensionless h and the energy unit omega.
-
-    omega scales eigenvalues only; no topological quantity depends on it.
-    """
+    """Model parameter: the dimensionless h."""
 
     h: float
-    omega: float = 1.0
 
     def __post_init__(self):
         if not np.isfinite(self.h):
             raise UsageError(f"h must be finite, got {self.h}")
         if abs(self.h) > H_MAX:
             raise UsageError(f"|h| must be <= {H_MAX:g}, got {self.h}")
-        if not (np.isfinite(self.omega) and self.omega > 0):
-            raise UsageError(f"omega must be positive and finite, got {self.omega}")
 
 
 def u_of_k(k, params):
@@ -89,11 +83,6 @@ def norms(v):
     for i in range(1, v.shape[-1]):
         total += square(v[..., i])
     return np.sqrt(total)
-
-
-def energy_gap(k, params):
-    """Band gap 2 * omega * |u(k)|."""
-    return 2.0 * params.omega * norms(u_of_k(k, params))
 
 
 def _check_gapped(mag, k):

@@ -97,12 +97,37 @@ def test_sample_state_field_peak_memory_bound():
     ({"n": 4.7}, "n must be an integer, got 4.7"), ({"n": 4.0}, "n must be an integer"),
     ({"n": True}, "n must be an integer, got True"), ({"n": "4"}, "n must be an integer"),
     ({"kind": "xml"}, "unknown field kind 'xml'"),
+    # h = true used to load as the phase transition h = 1, and "2" as 2.0
+    ({"h": True}, "h must be a real number, got True"),
+    ({"h": "2"}, "h must be a real number, got '2'"),
+    ({"h": None}, "h must be a real number, got None"),
+    ({"h": 10**400}, "h is beyond the range of a float"),
+    ({"h": float("nan")}, "h must be finite, got nan"),
+    ({"provenance": 5}, "unknown field provenance 5"),
+    ({"provenance": "measured"}, "unknown field provenance 'measured'"),
+    ({"entries": [[1, 0, 0, 0]] * 63}, "entries must be 64 rows of 4 reals for n=4"),
+    ({"entries": [[1, 0, 0, 0, 0]] * 64}, "entries must be 64 rows of 4 reals"),
+    ({"entries": [[1, 0, 0, 0]] * 63 + [[1, 0]]}, "entries must be 64 rows of 4 reals"),
+    ({"entries": {"0": [1, 0, 0, 0]}}, "entries must be 64 rows of 4 reals"),
+    ({"entries": "rows"}, "entries must be 64 rows of 4 reals"),
+    ({"kind": "rho"}, "entries must be 64 rows of 8 reals for n=4 and kind 'rho'"),
 ])
 def test_field_from_dict_refuses_a_bad_n_or_kind(change, match):
     doc = field_to_dict(sample_state_field(HopfParams(2.0), MeshSpec(4)))
     assert field_from_dict(doc).n == 4
     with pytest.raises(ValueError, match=re.escape(match)):
         field_from_dict({**doc, **change})
+
+
+@pytest.mark.parametrize("doc, match", [
+    ([1], "a field document is a JSON object, got list"),
+    ("field", "a field document is a JSON object, got str"),
+    ({"h": 2.0}, "field document lacks n, entries"),
+    ({"n": 4, "entries": []}, "field document lacks h"),
+])
+def test_field_from_dict_refuses_a_document_that_is_not_a_field(doc, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        field_from_dict(doc)
 
 
 def test_coverage_single_cell():

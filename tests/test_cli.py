@@ -103,8 +103,13 @@ def test_malformed_field_file_is_a_usage_error(tmp_path, capsys):
     # n = 6.7 used to load as n = 6, and an unknown kind as spinors
     fractional = {"n": 6.7, "h": 2.0, "entries": [[1, 0, 0, 0]] * 6 ** 3}
     xml = {"n": 6, "h": 2.0, "kind": "xml", "entries": [[1, 0, 0, 0]] * 6 ** 3}
+    # h = true used to load as the phase transition h = 1 and exit 0
+    field = field_to_dict(sample_state_field(HopfParams(2.0), MeshSpec(4)))
+    field["entries"] = field["entries"].tolist()
+    changes = [{"h": True}, {"h": "2"}, {"provenance": 5}, {"kind": "rho"},
+               {"entries": [row + [0] for row in field["entries"]]}]
     for text in ("{not json", '{"h": 2}', "[1]", json.dumps(short), json.dumps(fractional),
-                 json.dumps(xml)):
+                 json.dumps(xml), *(json.dumps({**field, **change}) for change in changes)):
         bad.write_text(text)
         assert run_cli(argv + [str(bad)], tmp_path) == 2
         assert capsys.readouterr().err.startswith(f"usage error: --field {bad} ")
@@ -344,6 +349,26 @@ def test_field_json_roundtrip_spinor(tmp_path):
     assert doc["n"] == 5 and len(doc["entries"]) == 125 and len(doc["entries"][0]) == 4
 
 
+def test_field_file_of_the_older_format_with_omega_loads_the_same(tmp_path, capsys):
+    assert run_cli(["field", "--h", "2", "--n", "6", "--out", "new.json"], tmp_path) == 0
+    doc = json.loads((tmp_path / "new.json").read_text())
+    assert doc.keys() == {"n", "h", "provenance", "kind", "entries", "generated_at"}
+    # older files held the energy unit omega, always 1.0; any omega is ignored
+    for omega in (1.0, 3.0):
+        cli.write_json_atomic(tmp_path / f"omega{omega:g}.json", {**doc, "omega": omega})
+    names = ["new", "omega1", "omega3"]
+    fields = [load_field(tmp_path / f"{name}.json") for name in names]
+    assert len({(f.params, f.provenance, f.kind, f.data.tobytes()) for f in fields}) == 1
+    sites = []
+    for name in names:
+        argv = ["neighborhood", "--field", f"{name}.json", "--spin", "0,0,1", "--eps", "0.3",
+                "--out", f"sites_{name}.json"]
+        assert run_cli(argv, tmp_path) == 0
+        sites.append(json.loads((tmp_path / f"sites_{name}.json").read_text())["sites"])
+    capsys.readouterr()
+    assert sites[0] and sites[0] == sites[1] == sites[2]
+
+
 def test_field_json_roundtrip_rho(tmp_path):
     f = sample_state_field(HopfParams(2.0), MeshSpec(4))
     rho = np.einsum("...i,...j->...ij", f.data, np.conj(f.data))
@@ -389,6 +414,23 @@ def test_preimage_of_several_spins_samples_one_grid(tmp_path, capsys, monkeypatc
     for tag in ("+1.00_+0.00_+0.00", "+0.00_+1.00_+0.00"):
         doc = json.loads((tmp_path / f"pre_s{tag}.json").read_text())
         assert len(doc["loops"]) == 1
+
+
+@pytest.mark.parametrize("spins", [
+    ["1,0,0", "1,0,0"],
+    # the artifact names round each component to 2 decimals
+    ["1,0,0", "0.9999920000106667,0.003999989333341867,0"],
+])
+@pytest.mark.parametrize("out", [None, "pre.json"])
+def test_preimage_targets_with_one_artifact_name_are_a_usage_error(tmp_path, capsys,
+                                                                   monkeypatch, spins, out):
+    monkeypatch.setattr(preimage, "refined_preimage", None)  # nothing is marched
+    argv = ["preimage", "--h", "2.9", "--res", "32"] + ["--out", out] * bool(out)
+    assert run_cli(argv + [arg for spin in spins for arg in ("--spin", spin)], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: two --spin targets would both be written to ")
+    assert err.rstrip().endswith("_s+1.00_+0.00_+0.00.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_link_artifact(tmp_path, capsys):

@@ -5,7 +5,6 @@ from hopfsim.errors import GaplessPoint
 from hopfsim.model import (
     HopfParams,
     bloch_ground,
-    energy_gap,
     eta_of_k,
     ground_state,
     hopf_f,
@@ -24,10 +23,6 @@ def test_params_validation():
     HopfParams(-1e75)
     with pytest.raises(ValueError, match="must be <= 1e\\+75"):
         HopfParams(-1.01e75)
-    with pytest.raises(ValueError):
-        HopfParams(2.0, omega=0.0)
-    with pytest.raises(ValueError):
-        HopfParams(2.0, omega=-1.0)
 
 
 @pytest.mark.parametrize(
@@ -51,14 +46,6 @@ def test_u_periodicity_exact():
         shifted = k.copy()
         shifted[:, axis] += 2 * PI
         np.testing.assert_allclose(u_of_k(shifted, p), base, atol=1e-12)
-
-
-def test_energy_gap_scales_with_omega():
-    k = (0.3, 1.1, 2.0)
-    g1 = energy_gap(k, HopfParams(2.0, omega=1.0))
-    g3 = energy_gap(k, HopfParams(2.0, omega=3.0))
-    assert np.isclose(g3, 3 * g1)
-    assert np.isclose(g1, 2 * np.linalg.norm(u_of_k(k, HopfParams(2.0))))
 
 
 def test_norms_equal_linalg_norm_bit_for_bit():
