@@ -9,6 +9,8 @@ the invariant engines.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
 from numbers import Real
 
@@ -28,9 +30,67 @@ STATE_TOL = 1e-9
 _SLAB_SITES = 2**14
 
 
-def _x_slabs(n):
-    step = max(1, _SLAB_SITES // n**2)
+def _x_slabs(n, plane_sites=None):
+    """Slices of about _SLAB_SITES sites along the first axis of a grid of n
+    planes of ``plane_sites`` sites each (n**2 by default: an n^3 mesh)."""
+    step = max(1, _SLAB_SITES // (n**2 if plane_sites is None else plane_sites))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _cpus():
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _lanes(sites):
+    """Threads that share the pieces of a grid of ``sites`` sites: the calling
+    thread and one helper when the grid is more than one slab and the process
+    may use two CPUs, else the calling thread alone."""
+    return 2 if sites > _SLAB_SITES and _cpus() > 1 else 1
+
+
+def _map_lanes(fn, items, scratch):
+    """[fn(x, s) for x in items], where s is the scratch of the lane that runs
+    the item: ``scratch`` holds one entry per lane (see _lanes), made by the
+    caller.
+
+    With two lanes the calling thread (scratch[0]) and a helper thread started
+    for the call (scratch[1]) each take the next item in order until none is
+    left.  Items must write disjoint parts of any shared output, so nothing
+    depends on which lane ran an item.  If items raise, the exception of the
+    first raising item in order propagates once the helper has ended: the one
+    the serial loop raises.
+    """
+    if len(scratch) == 1 or len(items) < 2:
+        return [fn(x, scratch[0]) for x in items]
+    results, failed = [None] * len(items), {}
+    order, lock = iter(range(len(items))), threading.Lock()
+
+    def take():  # the next item, or None once an item has raised
+        with lock:
+            return None if failed else next(order, None)
+
+    def drain(work):
+        for i in iter(take, None):
+            try:
+                results[i] = fn(items[i], work)
+            except BaseException as err:  # re-raised by the calling thread
+                with lock:
+                    failed[i] = err
+                return
+
+    helper = threading.Thread(target=drain, args=(scratch[1],), name="hopfsim-lane")
+    helper.start()
+    try:
+        drain(scratch[0])
+    finally:
+        helper.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 @dataclass(frozen=True)
@@ -137,6 +197,16 @@ class StateField:
         else:
             raise ValueError(f"bad state data shape {self.data.shape} for n={n}")
 
+    @classmethod
+    def _of_ground_states(cls, mesh, params, psi):
+        """The analytic field of spinors ``psi`` that model.ground_state has
+        just gap-checked and normalized, without the checks of a field from
+        outside."""
+        field = cls.__new__(cls)
+        field.mesh, field.params, field.data = mesh, params, psi
+        field.provenance, field.kind = PROVENANCE_ANALYTIC, "spinor"
+        return field
+
     @property
     def n(self):
         return self.mesh.n
@@ -169,31 +239,41 @@ def sample_state_field(params, mesh):
     """Analytic ground states on every mesh site.
 
     One pass over slabs of x-planes checks the gap on the whole mesh, and a
-    second writes each slab's ``model.ground_state`` into the field.
+    second writes each slab's ``model.ground_state`` into the field; each
+    pass shares its slabs between the lanes of ``_lanes``.
 
     Raises
     ------
     GaplessPoint
         With the offending site, if the gap closes on the mesh.
     """
-    least, first = np.inf, None
-    for planes in _x_slabs(mesh.n):
+    n, slabs = mesh.n, _x_slabs(mesh.n)
+    lanes = [None] * _lanes(n**3)
+
+    def least_gap(planes, _):
         mag = model.norms(model.u_of_k(mesh.points(planes), params))  # u itself is not kept
         j = int(np.argmin(mag))
-        if mag.flat[j] < least:  # the first minimum of the row-major mesh
-            least, first = mag.flat[j], planes.start * mesh.n**2 + j
+        return mag.flat[j], planes.start * n**2 + j
+
+    least, first = np.inf, None
+    for value, site in _map_lanes(least_gap, slabs, lanes):
+        if value < least:  # the first minimum of the row-major mesh
+            least, first = value, site
     if least < model.GAP_TOL:
-        site = tuple(int(x) for x in np.unravel_index(first, (mesh.n,) * 3))
+        site = tuple(int(x) for x in np.unravel_index(first, (n,) * 3))
         raise GaplessPoint(
             f"gap closes at mesh site {site}, k/2pi="
-            f"{(np.asarray(site) / mesh.n).tolist()} for h={params.h}",
+            f"{(np.asarray(site) / n).tolist()} for h={params.h}",
             k=mesh.site_k(site),
             site=site,
         )
-    psi = np.empty((mesh.n,) * 3 + (2,), dtype=complex)
-    for planes in _x_slabs(mesh.n):
+    psi = np.empty((n,) * 3 + (2,), dtype=complex)
+
+    def fill(planes, _):
         psi[planes] = model.ground_state(mesh.points(planes), params)
-    return StateField(mesh, params, psi)
+
+    _map_lanes(fill, slabs, lanes)
+    return StateField._of_ground_states(mesh, params, psi)
 
 
 def coverage_fraction(vectors, bins):
@@ -276,14 +356,14 @@ def field_from_dict(d):
         raise ValueError(f"field h is beyond the range of a float, got {h!r}") from None
     mesh, rows = MeshSpec(n), (n**3, 8 if kind == "rho" else 4)
     try:
-        entries = np.asarray(d["entries"], dtype=float)
+        entries = np.array(d["entries"], dtype=float, order="C")
     except (TypeError, ValueError):  # ragged, or not numbers
         entries = None
     if entries is None or entries.shape != rows:
         raise ValueError(f"field entries must be {rows[0]} rows of {rows[1]} reals "
                          f"for n={n} and kind {kind!r}")
-    cplx = entries[:, 0::2] + 1j * entries[:, 1::2]
-    data = cplx.reshape((n,) * 3 + ((2, 2) if kind == "rho" else (2,)))
+    # the (Re, Im) pairs viewed as complex, so a signed zero stays as written
+    data = entries.view(complex).reshape((n,) * 3 + ((2, 2) if kind == "rho" else (2,)))
     return StateField(mesh, params, data, provenance=provenance)
 
 

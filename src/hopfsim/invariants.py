@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bzgrid import MeshSpec, StateField, _x_slabs, sample_state_field
+from .bzgrid import MeshSpec, StateField, _lanes, _map_lanes, _x_slabs, sample_state_field
 from .errors import NonIntegerFlux, NonzeroNetFlux, OrthogonalNeighbors, UsageError
 from .model import HopfParams
 
@@ -53,36 +53,65 @@ def _roll_into(out, a, ax):
 
 
 def _roll_planes(out, a, ax, planes):
-    """out = np.roll(a, -1, axis=ax)[planes] for a slice of x-planes."""
-    if ax == 0:
-        rows = np.arange(planes.start + 1, planes.stop + 1)
-        return np.take(a, rows, axis=0, out=out, mode="wrap")
-    return _roll_into(out, a[planes], ax)
+    """out = np.roll(a, -1, axis=ax)[planes] for a slice of x-planes.  Along
+    x it is two slice copies: np.take(..., mode="wrap") would first copy all
+    of a strided ``a``, such as one component of a grid of spinors."""
+    if ax:
+        return _roll_into(out, a[planes], ax)
+    if planes.stop < len(a):
+        out[...] = a[planes.start + 1 : planes.stop + 1]
+    else:
+        out[:-1] = a[planes.start + 1 :]
+        out[-1] = a[0]
+    return out
 
 
 def _grid_links(states, axes):
     """U(1) links <a|b> / |<a|b>| along the given axes of a periodic grid of
     spinors, states of shape grid + (2,); one complex array per axis.
 
+    Each (axis, slab of x-planes) is one item for the lanes of ``_lanes``.  A
+    slab is divided by |<a|b>| only once its own smallest |<a|b>| is above
+    TOL_OVERLAP.
+
     Raises OrthogonalNeighbors at the first site with |<a|b>| <= TOL_OVERLAP.
     """
     # two component planes, not a sum over the length-2 spinor axis: numpy
     # runs such a reduction as one inner-loop call per site
     up, down = states[..., 0], states[..., 1]
-    bar, shifted = np.empty_like(up), np.empty_like(up)  # bar: conj(up), then conj(down)
-    mag, size = np.empty(up.shape), bar.nbytes
-    links = []
-    for ax in axes:
-        ov = _times_temp(np.conjugate(up, out=bar), _roll_into(np.empty_like(up), up, ax), size)
-        ov += _times_temp(np.conjugate(down, out=bar), _roll_into(shifted, down, ax), size)
+    links = [np.empty(up.shape, up.dtype) for _ in axes]
+    plane_sites, size = up[:1].size, up.size * up.itemsize
+    slabs = _x_slabs(len(up), plane_sites)
+    slab = up[slabs[0]]
+    # per lane: bar (conj(up), then conj(down)), the rolled down spinors, |<a|b>|
+    lanes = [(np.empty_like(slab), np.empty_like(slab), np.empty(slab.shape))
+             for _ in range(_lanes(up.size))]
+
+    def link_slab(item, work):
+        i, planes = item
+        bar, shifted, mag = (w[: planes.stop - planes.start] for w in work)
+        ov = links[i][planes]
+        prod = _times_temp(np.conjugate(up[planes], out=bar),
+                           _roll_planes(ov, up, axes[i], planes), size)
+        if prod is not ov:  # a fresh product below the elision size
+            ov[...] = prod
+        ov += _times_temp(np.conjugate(down[planes], out=bar),
+                          _roll_planes(shifted, down, axes[i], planes), size)
         np.abs(ov, out=mag)
-        if mag.min() <= TOL_OVERLAP:
-            site = tuple(int(x) for x in np.unravel_index(int(np.argmin(mag)), mag.shape))
+        j = int(np.argmin(mag))
+        if not mag.flat[j] <= TOL_OVERLAP:
+            ov /= mag
+        return mag.flat[j], planes.start * plane_sites + j
+
+    least = _map_lanes(link_slab, [(i, s) for i in range(len(axes)) for s in slabs], lanes)
+    for i, ax in enumerate(axes):
+        axis_least = least[i * len(slabs) : (i + 1) * len(slabs)]
+        k = int(np.argmin([value for value, _ in axis_least]))  # np.argmin's first minimum
+        if axis_least[k][0] <= TOL_OVERLAP:
+            site = tuple(int(x) for x in np.unravel_index(axis_least[k][1], up.shape))
             raise OrthogonalNeighbors(
                 f"orthogonal neighbors at site {site} along axis {ax}", site=site, axis=ax
             )
-        ov /= mag
-        links.append(ov)
     return links
 
 
@@ -118,25 +147,29 @@ def berry_curvature(f: StateField):
     F_mu = Im ln [ U_nu(k) U_tau(k+nu) U_nu(k+tau)^-1 U_tau(k)^-1 ] / 2pi
     with (mu, nu, tau) cyclic.  Gauge-invariant: per-site phases cancel in
     the closed plaquette product.  The plaquettes are formed one slab of
-    x-planes at a time, straight into the flux array.
+    x-planes at a time, straight into the flux array, each (component,
+    slab) one item for the lanes of ``_lanes``.
     """
     links = _grid_links(f.pure_states(), axes=(0, 1, 2))
-    n = f.n
+    n, slabs = f.n, _x_slabs(f.n)
     values = np.empty((3, n, n, n))
-    buf, work = (np.empty_like(links[0][_x_slabs(n)[0]]) for _ in range(2))
-    for mu in range(3):
+    lanes = [tuple(np.empty_like(links[0][slabs[0]]) for _ in range(2))
+             for _ in range(_lanes(n**3))]
+
+    def plaquettes(item, work):
+        mu, planes = item
         nu, tau = _CYCLIC[mu]
         u_nu, u_tau = links[nu], links[tau]
-        for planes in _x_slabs(n):
-            b, w = buf[: planes.stop - planes.start], work[: planes.stop - planes.start]
-            # U_nu(k) U_tau(k+nu), in the operand order of the whole grid's product
-            plaq = _times_temp(u_nu[planes], _roll_planes(b, u_tau, nu, planes),
-                               u_tau.nbytes)
-            plaq *= np.conjugate(_roll_planes(w, u_nu, tau, planes), out=w)
-            plaq *= np.conjugate(u_tau[planes], out=w)
-            layer = values[mu, planes]
-            np.arctan2(plaq.imag, plaq.real, out=layer)  # np.angle, in place
-            layer /= 2.0 * np.pi
+        b, w = (x[: planes.stop - planes.start] for x in work)
+        # U_nu(k) U_tau(k+nu), in the operand order of the whole grid's product
+        plaq = _times_temp(u_nu[planes], _roll_planes(b, u_tau, nu, planes), u_tau.nbytes)
+        plaq *= np.conjugate(_roll_planes(w, u_nu, tau, planes), out=w)
+        plaq *= np.conjugate(u_tau[planes], out=w)
+        layer = values[mu, planes]
+        np.arctan2(plaq.imag, plaq.real, out=layer)  # np.angle, in place
+        layer /= 2.0 * np.pi
+
+    _map_lanes(plaquettes, [(mu, s) for mu in range(3) for s in slabs], lanes)
     return CurvatureField(f.mesh, values)
 
 
@@ -195,9 +228,11 @@ def berry_connection(curv: CurvatureField):
     the choice that keeps the spectral solve well-posed at every nonzero mode
     for every n; the zero mode of A is set to zero.
 
-    Three complex n^3 buffers: the transforms of F_0 and F_1, then the modes
-    of A_2 in the third, which after its inverse transform takes that of F_2;
-    the modes of A_0 then overwrite F_1's, and those of A_1 F_0's.
+    Two complex n^3 buffers beside A, and the complex view of A_0 and A_1's
+    storage as the third: the transforms of F_0, F_1 and F_2 fill them, the
+    modes of A_0, A_1 and A_2 then replace them slab by slab, and their
+    inverse transforms are copied into A (A_2 first, from the view).  Each
+    of the three stages shares its pieces between the lanes of ``_lanes``.
 
     Raises
     ------
@@ -221,35 +256,40 @@ def berry_connection(curv: CurvatureField):
     m = np.fft.fftfreq(n, d=1.0 / n)  # integer mode numbers
     d = np.exp(2j * np.pi * m / n) - 1.0
     a = np.empty_like(curv.values)
-    fhat = [_fftn_real(curv.values[mu], np.empty((n, n, n), dtype=complex))
-            for mu in (0, 1)] + [np.empty((n, n, n), dtype=complex)]
-    a[2] = np.fft.ifftn(_coulomb_modes(2, fhat, d, out=fhat[2]), out=fhat[2]).real
-    _fftn_real(curv.values[2], fhat[2])
-    a[0] = np.fft.ifftn(_coulomb_modes(0, fhat, d, out=fhat[1]), out=fhat[1]).real
-    a[1] = np.fft.ifftn(_coulomb_modes(1, fhat, d, out=fhat[0]), out=fhat[0]).real
-    return ConnectionField(curv.mesh, a)
-
-
-def _coulomb_modes(mu, fhat, d, out):
-    """Modes -(conj(d_nu) F_tau - conj(d_tau) F_nu) / |d|^2 of A_mu, (mu, nu,
-    tau) cyclic, zero at the zero mode, from the transforms ``fhat`` of F.
-    Written one slab of x-planes at a time, each slab's F_nu read before it
-    is written, so ``out`` may be fhat[nu] or fhat[tau]."""
-    nu, tau = _CYCLIC[mu]
+    view = a[:2].reshape(-1).view(complex).reshape(n, n, n)
+    fhat = [np.empty((n, n, n), dtype=complex) for _ in range(2)] + [view]
+    slabs = _x_slabs(n)
+    lanes = [np.empty((2,) + view[slabs[0]].shape, dtype=complex) for _ in range(_lanes(n**3))]
     dbar, sq = np.conj(d), np.abs(d) ** 2
-    work = np.empty_like(out[_x_slabs(len(d))[0]])
-    for s in _x_slabs(len(d)):
-        dbar_s, sq_s = ([vec[s, None, None], vec[:, None], vec] for vec in (dbar, sq))
-        term = np.multiply(dbar_s[tau], fhat[nu][s], out=work[: s.stop - s.start])
-        ahat = np.multiply(dbar_s[nu], fhat[tau][s], out=out[s])
-        ahat -= term
-        np.negative(ahat, out=ahat)
-        denom = sq_s[0] + sq_s[1] + sq_s[2]
+
+    def modes(s, work):
+        """-(conj(d_nu) F_tau - conj(d_tau) F_nu) / |d|^2 of each A_mu, (mu, nu,
+        tau) cyclic, zero at the zero mode, over the F of the slab ``s``.  A_0
+        and A_1 wait in ``work``; a term whose F is read for the last time is
+        formed over that F, and A_2 over F_2."""
+        f = [fh[s] for fh in fhat]
+        a0, a1 = work[0, : s.stop - s.start], work[1, : s.stop - s.start]
+        dbar_s = [dbar[s, None, None], dbar[:, None], dbar]
+        denom = sq[s, None, None] + sq[:, None] + sq
         if s.start == 0:
             denom[0, 0, 0] = 1.0  # the zero mode, set to 0 below
-        ahat /= denom
-    out[0, 0, 0] = 0.0
-    return out
+        for mu, out, term in ((0, a0, a1), (1, a1, f[2]), (2, f[2], f[0])):
+            nu, tau = _CYCLIC[mu]
+            np.multiply(dbar_s[tau], f[nu], out=term)
+            ahat = np.multiply(dbar_s[nu], f[tau], out=out)
+            ahat -= term
+            np.negative(ahat, out=ahat)
+            ahat /= denom
+            if s.start == 0:
+                ahat[0, 0, 0] = 0.0
+        f[0][...], f[1][...] = a0, a1
+
+    _map_lanes(lambda mu, work: _fftn_real(curv.values[mu], fhat[mu]), range(3), lanes)
+    _map_lanes(modes, slabs, lanes)
+    _map_lanes(lambda mu, work: np.fft.ifftn(fhat[mu], out=fhat[mu]), range(3), lanes)
+    a[2] = view.real
+    a[0], a[1] = fhat[0].real, fhat[1].real
+    return ConnectionField(curv.mesh, a)
 
 
 @dataclass
@@ -268,28 +308,29 @@ def _site_products(curv, conn):
 
     Fourier half-cell shifts move F (plaquette centers) and A (edge
     midpoints) onto mesh sites, so the F . A integrand pairs values at the
-    same point; each shifted A component is multiplied into the shifted F
-    component that the result holds.  Contracting the raw staggered fields
-    instead costs roughly a factor 2.5 in the discretization error of the
-    index."""
+    same point.  Each of the six components is re-centered in place, one
+    item for the lanes of ``_lanes`` with a complex n^3 buffer per lane, and
+    the re-centered A is then multiplied by the re-centered F: so curv and
+    conn are overwritten, and the products are conn's values.  Contracting
+    the raw staggered fields instead costs roughly a factor 2.5 in the
+    discretization error of the index."""
     n = curv.mesh.n
     m = np.fft.fftfreq(n, d=1.0 / n)
     half = np.exp(-1j * np.pi * m / n)
 
-    buf = np.empty((n, n, n), dtype=complex)
-
-    def shifted(arr, axes):
+    def recenter(item, buf):
+        arr, axes = item
         ah = _fftn_real(arr, buf)
         for ax in axes:
             ah *= _along(half, ax)
-        return np.fft.ifftn(ah, out=ah).real
+        arr[...] = np.fft.ifftn(ah, out=ah).real
 
-    prod = np.empty_like(curv.values)
-    for mu in range(3):
-        nu, tau = _CYCLIC[mu]
-        prod[mu] = shifted(curv.values[mu], (nu, tau))
-        prod[mu] *= shifted(conn.values[mu], (mu,))
-    return prod
+    shifts = ([(curv.values[mu], _CYCLIC[mu]) for mu in range(3)]
+              + [(conn.values[mu], (mu,)) for mu in range(3)])
+    _map_lanes(recenter, shifts, [np.empty((n, n, n), dtype=complex)
+                                  for _ in range(_lanes(n**3))])
+    conn.values *= curv.values
+    return conn.values
 
 
 def hopf_index(f: StateField):
@@ -298,10 +339,10 @@ def hopf_index(f: StateField):
     With F in flux/2pi units and A from the lattice solve, the plain lattice
     sum needs no extra volume factor; the quantized values of the phase
     diagram fix the normalization.  F and A are spectrally re-centered onto
-    the mesh sites and multiplied there in one pass (see _site_products),
-    which holds one real (3, n, n, n) product array and one complex n^3
-    transform buffer.  The slice Chern numbers come from the same
-    curvature, once berry_connection has found them all zero.
+    the mesh sites in place and multiplied there (see _site_products), with
+    one complex n^3 transform buffer per lane.  The slice Chern numbers come
+    from the same curvature, once berry_connection has found them all zero
+    and before it is re-centered.
     """
     curv = berry_curvature(f)
     conn = berry_connection(curv)

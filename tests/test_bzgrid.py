@@ -1,12 +1,22 @@
+import json
+import os
 import re
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from hopfsim import bzgrid
 from hopfsim.bzgrid import (
+    _SLAB_SITES,
     MeshSpec,
     StateField,
+    _lanes,
+    _map_lanes,
     coverage_fraction,
     field_from_dict,
     field_to_dict,
@@ -14,6 +24,7 @@ from hopfsim.bzgrid import (
     texture_rows,
 )
 from hopfsim.errors import EmptyInput, GaplessPoint
+from hopfsim.invariants import index_report
 from hopfsim.model import HopfParams, ground_state
 
 
@@ -80,8 +91,10 @@ def test_slab_wise_sampler_is_bit_identical_to_one_ground_state_call(n):
 
 
 def test_sample_state_field_peak_memory_bound():
-    # the 8 MiB field, one slab's u(k) and the norm check of the field; the
-    # sampler that formed u(k) on the whole mesh twice peaked at 30.3 MiB
+    # the 8 MiB field and one slab's ground-state temporaries per lane
+    # (11.6 MiB with two lanes); the sampler that re-checked the field it had
+    # sampled peaked at 16.1 MiB, the one that formed u(k) on the whole mesh
+    # twice at 30.3 MiB
     mesh, params = MeshSpec(64), HopfParams(2.0)
     sample_state_field(params, mesh)
     tracemalloc.start()
@@ -90,7 +103,7 @@ def test_sample_state_field_peak_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * 2**20
+    assert peak <= 14 * 2**20
 
 
 @pytest.mark.parametrize("change, match", [
@@ -215,3 +228,116 @@ def test_texture_csv():
         rows[:, 3:], f.bloch_vectors().reshape(-1, 3), rtol=0, atol=0
     )
     np.testing.assert_allclose(np.linalg.norm(rows[:, 3:], axis=1), 1, atol=1e-12)
+
+
+def test_field_reload_is_exact_down_to_the_sign_of_zero():
+    # re + 1j * im turned every -0.0 imaginary part into +0.0
+    f = sample_state_field(HopfParams(2.0), MeshSpec(4))
+    doc = field_to_dict(f)
+    doc = json.loads(json.dumps({**doc, "entries": doc["entries"].tolist()}))
+    parts = f.data.view(np.float64)
+    assert np.signbit(parts[parts == 0]).any()
+    back = field_from_dict(doc)
+    assert back.data.dtype == f.data.dtype and back.data.tobytes() == f.data.tobytes()
+    rho = np.einsum("...i,...j->...ij", f.data, np.conj(f.data))
+    fr = StateField(MeshSpec(4), f.params, rho, provenance="simulated-experiment")
+    assert field_from_dict(field_to_dict(fr)).data.tobytes() == rho.tobytes()
+
+
+def test_field_reload_does_not_share_the_documents_array():
+    f = sample_state_field(HopfParams(2.0), MeshSpec(4))
+    doc = field_to_dict(f)
+    back = field_from_dict(doc)
+    doc["entries"][:] = 0.0
+    assert back.data.tobytes() == sample_state_field(HopfParams(2.0), MeshSpec(4)).data.tobytes()
+
+
+def test_a_field_from_outside_is_still_checked():
+    # sample_state_field skips the checks of its own ground states; every
+    # other field keeps them
+    f = sample_state_field(HopfParams(2.0), MeshSpec(4))
+    with pytest.raises(ValueError, match="normalized"):
+        StateField(MeshSpec(4), f.params, 1.5 * f.data)
+    data = f.data.copy()
+    data[0, 1, 2, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        StateField(MeshSpec(4), f.params, data)
+
+
+def test_lanes_follow_the_mesh_size_and_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(bzgrid, "_cpus", lambda: 2)
+    assert (_lanes(_SLAB_SITES), _lanes(_SLAB_SITES + 1), _lanes(64**3)) == (1, 2, 2)
+    monkeypatch.setattr(bzgrid, "_cpus", lambda: 1)
+    assert _lanes(64**3) == 1
+
+
+def test_map_lanes_keeps_the_order_and_uses_each_lanes_scratch():
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        seen = []
+
+        def square(x, lane):
+            seen.append((lane, threading.get_ident()))
+            return x * x
+
+        assert _map_lanes(square, list(range(200)), ["caller", "helper"]) == [
+            x * x for x in range(200)]
+        assert {lane for lane, _ in seen} <= {"caller", "helper"}
+        assert len({ident for _, ident in seen}) == len({lane for lane, _ in seen})
+        assert _map_lanes(square, [3], ["caller", "helper"]) == [9]
+        assert _map_lanes(square, [1, 2], ["caller"]) == [1, 4]
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_map_lanes_raises_the_first_error_in_order_after_the_helper_is_done():
+    done = []
+
+    def item(x, lane):
+        if x in (5, 9):
+            raise GaplessPoint(f"item {x}")
+        done.append(x)
+
+    for lanes in (["caller"], ["caller", "helper"]):
+        done.clear()
+        with pytest.raises(GaplessPoint, match="item 5"):
+            _map_lanes(item, list(range(40)), lanes)
+        settled = list(done)
+        assert set(range(5)) <= set(settled)
+        time.sleep(0.05)
+        assert done == settled  # the helper was done before the error propagated
+
+
+def test_the_serial_path_never_starts_a_helper_thread(monkeypatch):
+    # a mesh of one slab, or a process on one CPU, keeps the serial path
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(bzgrid.threading, "Thread", Counted)
+    for n, cpus in ((6, 2), (25, 2), (26, 1), (26, 2)):
+        monkeypatch.setattr(bzgrid, "_cpus", lambda: cpus)
+        index_report(sample_state_field(HopfParams(2.0), MeshSpec(n)))
+        if n < 26 or cpus < 2:
+            assert started == []
+    # a helper for each pass of the sampler, for the links, the plaquettes,
+    # the three stages of the connection solve and the re-centering
+    assert started == ["hopfsim-lane"] * 8
+
+
+def test_the_index_engine_never_imports_concurrent_futures():
+    script = """
+import sys
+from hopfsim import bzgrid, cli, invariants, model
+bzgrid._cpus = lambda: 2
+invariants.index_report(bzgrid.sample_state_field(model.HopfParams(2.0), bzgrid.MeshSpec(26)))
+print("concurrent.futures" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(bzgrid.__file__))
+    run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["False"]

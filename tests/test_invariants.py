@@ -1,11 +1,12 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hopfsim import invariants
+from hopfsim import bzgrid, invariants
 from hopfsim.bzgrid import MeshSpec, StateField, pure_spinors, sample_state_field
-from hopfsim.errors import NonIntegerFlux, NonzeroNetFlux, OrthogonalNeighbors
+from hopfsim.errors import GaplessPoint, NonIntegerFlux, NonzeroNetFlux, OrthogonalNeighbors
 from hopfsim.invariants import (
     _CYCLIC,
     TOL_OVERLAP,
@@ -454,7 +455,8 @@ def test_successive_calls_do_not_alias_earlier_results():
 def test_index_report_peak_memory_bound():
     # the allocating pipeline peaked at 9.5 complex n^3 arrays, the in-place
     # one at 8.8 and the slab-wise one at 7.3 (the spectral solve: three
-    # transform buffers, the curvature and the connection)
+    # transform buffers, the curvature and the connection); with two lanes,
+    # each holding two slabs of half the mesh for the Coulomb modes, 8.0
     n = 32
     f = sample_state_field(HopfParams(2.0), MeshSpec(n))
     index_report(f)
@@ -468,10 +470,11 @@ def test_index_report_peak_memory_bound():
 
 
 def test_index_report_peak_memory_bound_n64():
-    # above its field: 4 MiB of links, then 3 complex n^3 buffers for the
-    # solve, beside the flux and connection arrays (24.6 MiB); the chain that
-    # kept both conjugate copies, a full-size solve and a separate recentered
-    # A peaked at 34.1 MiB
+    # above its field: two complex n^3 buffers for the solve beside the flux
+    # and connection arrays, or one re-centering buffer per lane beside them
+    # (21.5 MiB with two lanes); three buffers for the solve and 4 MiB of
+    # links took 24.6 MiB, and the chain that kept both conjugate copies, a
+    # full-size solve and a separate recentered A 34.1 MiB
     f = sample_state_field(HopfParams(2.0), MeshSpec(64))
     index_report(f)
     tracemalloc.start()
@@ -480,4 +483,74 @@ def test_index_report_peak_memory_bound_n64():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 28 * 2**20
+    assert peak <= 24 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# one lane or two: the same bytes
+
+
+def _outputs(h, n):
+    # every output, up to the first error, whose type, message and fields end the list
+    f = sample_state_field(HopfParams(h), MeshSpec(n))
+    curv = berry_curvature(f)
+    out = [f.data.tobytes(), curv.values.tobytes()]
+    try:
+        out.append(berry_connection(curv).values.tobytes())
+    except NonzeroNetFlux:
+        return out + list(_raised(index_report, f))
+    return out + [json.dumps(index_report(f), sort_keys=True)]
+
+
+def _on_cpus(monkeypatch, cpus, fn, *args):
+    monkeypatch.setattr(bzgrid, "_cpus", lambda: cpus)
+    return fn(*args)
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as err:
+        fn(*args)
+    e = err.value
+    return type(e), str(e), getattr(e, "site", None), getattr(e, "axis", None), \
+        getattr(e, "layer", None), getattr(e, "flux", None)
+
+
+@pytest.mark.parametrize("n", [26, 32, 33, 40, 64])
+def test_thread_count_never_changes_an_output(monkeypatch, n):
+    # the helper lane is forced on (and off) whatever the host's CPUs
+    for h in (-3.5, -2.0, -0.5, 0.5, 2.0, 2.9):
+        two = _on_cpus(monkeypatch, 2, _outputs, h, n)
+        assert two == _on_cpus(monkeypatch, 1, _outputs, h, n), h
+
+
+@pytest.mark.parametrize("h", [1.0, 3.0])
+def test_thread_count_never_changes_a_gapless_point(monkeypatch, h):
+    sample = lambda: sample_state_field(HopfParams(h), MeshSpec(32))  # noqa: E731
+    two = _on_cpus(monkeypatch, 2, _raised, sample)
+    assert two[0] is GaplessPoint
+    assert two == _on_cpus(monkeypatch, 1, _raised, sample)
+
+
+@pytest.mark.parametrize("stack_axis", [0, 2])
+def test_thread_count_never_changes_a_net_flux_error(monkeypatch, stack_axis):
+    curv = berry_curvature(_chern_layer_field(n=33, stack_axis=stack_axis))
+    two = _on_cpus(monkeypatch, 2, _raised, berry_connection, curv)
+    assert two[0] is NonzeroNetFlux
+    assert two == _on_cpus(monkeypatch, 1, _raised, berry_connection, curv)
+
+
+def test_thread_count_never_changes_which_neighbours_are_orthogonal(monkeypatch):
+    # two orthogonal pairs along y, in different slabs: the first in
+    # row-major order is named
+    n = 33
+    rng = np.random.default_rng(4)
+    data = rng.normal(size=(n, n, n, 2)) + 1j * rng.normal(size=(n, n, n, 2))
+    data /= np.linalg.norm(data, axis=-1, keepdims=True)
+    for site in ((20, 3, 7), (5, 30, 1)):
+        a = data[site]
+        data[site[0], (site[1] + 1) % n, site[2]] = [-np.conj(a[1]), np.conj(a[0])]
+    links = lambda: _grid_links(data, axes=(0, 1, 2))  # noqa: E731
+    two = _on_cpus(monkeypatch, 2, _raised, links)
+    assert two[:4] == (OrthogonalNeighbors, "orthogonal neighbors at site (5, 30, 1) along axis 1",
+                       (5, 30, 1), 1)
+    assert two == _on_cpus(monkeypatch, 1, _raised, links)
