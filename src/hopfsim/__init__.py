@@ -14,7 +14,7 @@ _HOMES = {
     **dict.fromkeys(
         ["HopfParams", "bloch_ground", "ground_state", "hopf_f", "map_g", "u_of_k"], "model"),
     **dict.fromkeys(
-        ["MeshSpec", "StateField", "coverage_fraction", "sample_state_field"], "bzgrid"),
+        ["MeshSpec", "StateField", "sample_state_field"], "bzgrid"),
     **dict.fromkeys(
         ["berry_connection", "berry_curvature", "chern_number", "hopf_index",
          "scaling_study"], "invariants"),

@@ -11,14 +11,14 @@ its site only through its final (|Omega|, Delta); the ramp-up is shared by
 all passages, the detuning ramp by those with one final Delta, and the
 ramp-down is evolved once per distinct passage.  The steps are unit
 quaternions reduced by a pairwise tree, computed in a workspace of flat
-buffers that each campaign worker keeps for the whole campaign (at most
-``SITE_CHUNK`` passages x the steps of one segment), so evolving a chunk
-allocates no large array.  The MLE is the linear inversion inside the
-Bloch ball; outside it, the KKT multiplier of the sphere is found by
-bracketed Newton steps with a bisection fallback, at most 100 iterations.
-Measurement, reconstruction and scoring run as arrays; per-site
-counter-based random streams make campaigns reproducible and independent
-of scheduling order.
+buffers that each lane of the campaign's thread map (``bzgrid._map_lanes``)
+owns for the whole campaign (at most ``SITE_CHUNK`` passages x the steps of
+one segment), so evolving a chunk allocates no large array.  The MLE is
+the linear inversion inside the Bloch ball; outside it, the KKT multiplier
+of the sphere is found by bracketed Newton steps with a bisection
+fallback, at most 100 iterations.  Measurement, reconstruction and scoring
+run as arrays; per-site counter-based random streams make campaigns
+reproducible and independent of scheduling order.
 
 The photon model is ideal: each photon is one projective sample in its
 Pauli basis.  There is no readout contrast, no background count and no
@@ -28,10 +28,8 @@ control error, so shot noise is the only noise.
 from __future__ import annotations
 
 import math
-import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +37,8 @@ from . import model
 from .bzgrid import (
     PROVENANCE_SIMULATED,
     StateField,
+    _cpus,
+    _map_lanes,
     _validate_rho,
     _validate_spinors,
     bloch_vectors_of,
@@ -50,7 +50,7 @@ SEGMENT_DURATION = 500e-9  # s per linear ramp
 SAMPLE_RATE = 8e9  # Hz, waveform sampling
 DEFAULT_PHOTONS = 93_000
 
-# Passages evolved together.  A campaign worker's workspace (``_Workspace``)
+# Passages evolved together.  A campaign lane's workspace (``_Workspace``)
 # holds SITE_CHUNK x steps-per-segment steps, about 2 MB at the 4000 steps of
 # a 500 ns segment; larger chunks raise the peak memory and run no faster.
 SITE_CHUNK = 8
@@ -60,7 +60,7 @@ BASES = ("x", "y", "z")
 
 class _Workspace:
     """Flat buffers that ``_waveform`` and ``_step_product`` fill through
-    ``out=``, kept across calls so that a campaign worker evolves all its
+    ``out=``, kept across calls so that a campaign lane evolves all its
     chunks in the same memory instead of faulting fresh arrays in per chunk.
     For m passages of n steps they hold:
 
@@ -73,8 +73,8 @@ class _Workspace:
 
     Each buffer grows to the largest call it serves, 8 m n + 3 n floats in
     all (m n = SITE_CHUNK x steps per segment in a campaign), and lives as
-    long as its owner: the worker of one campaign, or one ``propagator``
-    call."""
+    long as its owner: one lane of a ``_propagators`` call, which serves a
+    whole campaign or one ``propagator`` call."""
 
     def __init__(self):
         self._buffers = {}
@@ -281,32 +281,23 @@ def _propagators(omega_final, delta_final, seg=SEGMENT_DURATION, dt=1.0 / SAMPLE
     exp(i phi).
 
     Segments 1-2 are evolved once per distinct final detuning, then segment
-    3 once per passage, both in fixed chunks of ``SITE_CHUNK``.  ``workers``
-    threads take whole chunks, and a free list hands each chunk one of
-    ``workers`` workspaces, so the call reuses that many for all its chunks.
-    Chunks do not depend on ``workers``, so neither do the bytes."""
+    3 once per passage, both in fixed chunks of ``SITE_CHUNK``.  The lanes
+    of ``_map_lanes``, ``workers`` at most, take whole chunks, and each lane
+    owns one workspace for the whole call, in which it evolves all its
+    chunks of both stages.  Chunks do not depend on ``workers``, so neither
+    do the bytes."""
     shared = (seg, dt, omega_peak, delta_start)
     detunings, ramp = np.unique(delta_final, return_inverse=True)
-    free = [_Workspace() for _ in range(workers)]
+    lanes = [_Workspace() for _ in range(workers)]
 
-    def chunks(x):
-        return np.split(x, range(SITE_CHUNK, x.shape[-1], SITE_CHUNK), axis=-1)
+    def chunks(*xs):
+        return list(zip(*(np.split(x, range(SITE_CHUNK, x.shape[-1], SITE_CHUNK), axis=-1)
+                          for x in xs)))
 
-    def on_workspace(stage, *args):  # the pool runs at most ``workers`` at once
-        work = free.pop()
-        try:
-            return stage(*args, *shared, work)
-        finally:
-            free.append(work)
-
-    if workers > 1:  # imported only when used: its threading and queue add ~0.6 MB RSS
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
-        ramps = np.concatenate(list(run(partial(on_workspace, _detuning_ramps),
-                                        chunks(detunings))), axis=1)[:, ramp]
-        return np.concatenate(list(run(partial(on_workspace, _ramp_downs), chunks(ramps),
-                                       chunks(omega_final), chunks(delta_final))), axis=1)
+    ramps = np.concatenate(_map_lanes(lambda c, work: _detuning_ramps(*c, *shared, work),
+                                      chunks(detunings), lanes), axis=1)[:, ramp]
+    return np.concatenate(_map_lanes(lambda c, work: _ramp_downs(*c, *shared, work),
+                                     chunks(ramps, omega_final, delta_final), lanes), axis=1)
 
 
 def propagator(schedule, dt=None):
@@ -576,15 +567,15 @@ def run_campaign(params, mesh, photons_per_site=DEFAULT_PHOTONS, seed=0,
     its passage's state rotated by its own drive phase.  The states are
     validated and measured as one batch, each site on its own random stream
     keyed by (seed, row-major site index); the MLE of ``mle_tomography`` and
-    the fidelities run as arrays.  ``threads`` workers (0: one per CPU, never
-    more than there are passage chunks) take whole chunks; numpy releases
-    the interpreter lock in the array work.  Each worker evolves all its
-    chunks of both stages in one workspace of ``SITE_CHUNK`` x steps per
+    the fidelities run as arrays.  ``threads`` workers (0: one per CPU the
+    process may use, ``os.sched_getaffinity``; never more than there are
+    passage chunks) take whole chunks as the lanes of ``_map_lanes``; numpy
+    releases the interpreter lock in the array work.  Each lane evolves all
+    its chunks of both stages in one workspace of ``SITE_CHUNK`` x steps per
     segment (about 2 MB), which lives for the campaign and is dropped when
-    it returns.  Chunks do not depend on
-    ``threads``, so every thread count gives byte-identical output.  A
-    gapless site keeps the maximally mixed placeholder and is listed in
-    ``stats.errors``, in row-major order.
+    it returns.  Chunks do not depend on ``threads``, so every thread count
+    gives byte-identical output.  A gapless site keeps the maximally mixed
+    placeholder and is listed in ``stats.errors``, in row-major order.
     """
     if threads < 0:
         raise UsageError(f"threads must be >= 0, got {threads}")
@@ -602,7 +593,7 @@ def run_campaign(params, mesh, photons_per_site=DEFAULT_PHOTONS, seed=0,
     omega_final, delta_final, phi = _final_controls(u[ok])
     passages, inverse = np.unique(np.stack([omega_final, delta_final], axis=-1), axis=0,
                                   return_inverse=True)
-    workers = min(threads or os.cpu_count() or 1, -(-len(passages) // SITE_CHUNK))
+    workers = min(threads or _cpus(), -(-len(passages) // SITE_CHUNK))
     a, b = _propagators(passages[:, 0], passages[:, 1], workers=workers)[:, inverse]
     states = np.stack([a, b * np.exp(1j * phi)], axis=-1)
     _validate_spinors(states)

@@ -17,7 +17,7 @@ from numbers import Real
 import numpy as np
 
 from . import model
-from .errors import EmptyInput, GaplessPoint, UsageError
+from .errors import GaplessPoint, UsageError
 
 PROVENANCE_ANALYTIC = "analytic"
 PROVENANCE_SIMULATED = "simulated-experiment"
@@ -54,15 +54,16 @@ def _lanes(sites):
 
 def _map_lanes(fn, items, scratch):
     """[fn(x, s) for x in items], where s is the scratch of the lane that runs
-    the item: ``scratch`` holds one entry per lane (see _lanes), made by the
-    caller.
+    the item: ``scratch`` holds one entry per lane, made by the caller.  This
+    is the package's one thread map.
 
-    With two lanes the calling thread (scratch[0]) and a helper thread started
-    for the call (scratch[1]) each take the next item in order until none is
-    left.  Items must write disjoint parts of any shared output, so nothing
-    depends on which lane ran an item.  If items raise, the exception of the
-    first raising item in order propagates once the helper has ended: the one
-    the serial loop raises.
+    The calling thread takes scratch[0], and a helper thread started for the
+    call takes each further entry, at most len(items) - 1 of them; every lane
+    takes the next item in order until none is left.  Items must write
+    disjoint parts of any shared output, so nothing depends on which lane ran
+    an item.  If items raise, the exception of the first raising item in
+    order propagates once every helper has ended: the one the serial loop
+    raises.
     """
     if len(scratch) == 1 or len(items) < 2:
         return [fn(x, scratch[0]) for x in items]
@@ -82,12 +83,15 @@ def _map_lanes(fn, items, scratch):
                     failed[i] = err
                 return
 
-    helper = threading.Thread(target=drain, args=(scratch[1],), name="hopfsim-lane")
-    helper.start()
+    helpers = [threading.Thread(target=drain, args=(work,), name="hopfsim-lane")
+               for work in scratch[1:len(items)]]
+    for helper in helpers:
+        helper.start()
     try:
         drain(scratch[0])
     finally:
-        helper.join()
+        for helper in helpers:
+            helper.join()
     if failed:
         raise failed[min(failed)]
     return results
@@ -274,36 +278,6 @@ def sample_state_field(params, mesh):
 
     _map_lanes(fill, slabs, lanes)
     return StateField._of_ground_states(mesh, params, psi)
-
-
-def coverage_fraction(vectors, bins):
-    """Fraction of equal-area sphere cells hit by at least one Bloch vector.
-
-    The sphere is partitioned into latitude bands uniform in z (equal area),
-    each subdivided uniformly in longitude; with ``rings * sectors = bins``
-    every cell has area 4*pi/bins.
-
-    Raises
-    ------
-    EmptyInput
-        If no vectors are supplied.
-    """
-    vectors = np.asarray(vectors, dtype=float).reshape(-1, 3)
-    if vectors.size == 0:
-        raise EmptyInput("coverage_fraction needs at least one vector")
-    if bins < 8:
-        raise ValueError(f"bins must be >= 8, got {bins}")
-    norms = np.linalg.norm(vectors, axis=-1)
-    if np.abs(norms - 1.0).max() > 1e-6:
-        raise ValueError("coverage_fraction expects unit vectors")
-
-    rings = next(r for r in range(int(np.sqrt(bins)), 0, -1) if bins % r == 0)
-    sectors = bins // rings
-    iz = np.clip(((vectors[:, 2] + 1.0) / 2.0 * rings).astype(int), 0, rings - 1)
-    phi = np.arctan2(vectors[:, 1], vectors[:, 0])
-    ip = np.clip(((phi + np.pi) / (2 * np.pi) * sectors).astype(int), 0, sectors - 1)
-    hit = np.unique(iz * sectors + ip)
-    return hit.size / bins
 
 
 # ---------------------------------------------------------------------------

@@ -68,10 +68,6 @@ class CurvesTooClose(HopfError):
     """Two polylines approach closer than the separation tolerance."""
 
 
-class EmptyInput(HopfError):
-    """An operation received an empty collection."""
-
-
 class NonConvergence(HopfError):
     """Iterative optimisation hit its iteration cap; carries the best iterate."""
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfsim import adiabatic
 from hopfsim.adiabatic import (
     DEFAULT_PHOTONS,
     OMEGA_MAX,
@@ -551,21 +552,32 @@ def test_campaign_threads_identical_across_many_chunks():
         assert other.stats.per_site.tobytes() == runs[0].stats.per_site.tobytes()
 
 
-def test_campaign_caps_workers_at_chunks_and_rejects_negative_threads(monkeypatch):
-    import concurrent.futures
-
-    started = []
-
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+def test_campaign_caps_workers_at_chunks_and_rejects_negative_threads(lane_starts):
     run_campaign(P2, MeshSpec(4), photons_per_site=300, seed=0, threads=12)
-    assert started == [-(-25 // SITE_CHUNK)]  # 25 distinct passages of the 64 sites
+    # the 64 sites make 25 distinct passages, 4 chunks and so 4 workers, over
+    # 18 distinct detunings, 3 chunks: each stage starts a helper per chunk
+    # after its first
+    assert lane_starts == ["hopfsim-lane"] * ((3 - 1) + (4 - 1))
     with pytest.raises(ValueError):
         run_campaign(P2, MeshSpec(4), photons_per_site=300, seed=0, threads=-1)
+
+
+def test_campaign_threads_0_takes_one_worker_per_usable_cpu(monkeypatch):
+    mesh = MeshSpec(6)  # 216 sites, 27 chunks
+    serial = run_campaign(P2, mesh, photons_per_site=2000, seed=5, threads=1)
+    used, real = [], adiabatic._propagators
+
+    def recording(*args, workers):
+        used.append(workers)
+        return real(*args, workers=workers)
+
+    monkeypatch.setattr(adiabatic, "_propagators", recording)
+    for cpus in (1, 3):
+        monkeypatch.setattr(adiabatic, "_cpus", lambda: cpus)
+        result = run_campaign(P2, mesh, photons_per_site=2000, seed=5, threads=0)
+        assert result.field.data.tobytes() == serial.field.data.tobytes()
+        assert result.stats.per_site.tobytes() == serial.stats.per_site.tobytes()
+    assert used == [1, 3]  # min(cpus, 27 chunks)
 
 
 @pytest.mark.parametrize("h, n, photons, seed, threads, gapped", [

@@ -17,13 +17,12 @@ from hopfsim.bzgrid import (
     StateField,
     _lanes,
     _map_lanes,
-    coverage_fraction,
     field_from_dict,
     field_to_dict,
     sample_state_field,
     texture_rows,
 )
-from hopfsim.errors import EmptyInput, GaplessPoint
+from hopfsim.errors import GaplessPoint
 from hopfsim.invariants import index_report
 from hopfsim.model import HopfParams, ground_state
 
@@ -143,39 +142,6 @@ def test_field_from_dict_refuses_a_document_that_is_not_a_field(doc, match):
         field_from_dict(doc)
 
 
-def test_coverage_single_cell():
-    vecs = np.tile([0.0, 0.0, 1.0], (7, 1))
-    assert coverage_fraction(vecs, 128) == pytest.approx(1 / 128)
-
-
-def test_coverage_full_field_vs_slice():
-    f = sample_state_field(HopfParams(2.0), MeshSpec(10))
-    assert coverage_fraction(f.bloch_vectors(), 64) == 1.0
-    assert coverage_fraction(f.bloch_vectors()[:, :, 0], 64) < 1.0
-
-
-def test_coverage_trivial_phase_not_full():
-    f = sample_state_field(HopfParams(4.0), MeshSpec(10))
-    assert coverage_fraction(f.bloch_vectors(), 64) < 1.0
-
-
-def test_coverage_permutation_invariant():
-    rng = np.random.default_rng(5)
-    v = rng.normal(size=(300, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    perm = rng.permutation(300)
-    assert coverage_fraction(v, 72) == coverage_fraction(v[perm], 72)
-
-
-def test_coverage_input_validation():
-    with pytest.raises(EmptyInput):
-        coverage_fraction(np.empty((0, 3)), 64)
-    with pytest.raises(ValueError):
-        coverage_fraction([[0, 0, 1]], 4)
-    with pytest.raises(ValueError):
-        coverage_fraction([[0, 0, 2]], 64)
-
-
 def test_rho_validation_rejects_unphysical():
     n = 4
     bad = np.zeros((n, n, n, 2, 2), dtype=complex)
@@ -275,20 +241,30 @@ def test_map_lanes_keeps_the_order_and_uses_each_lanes_scratch():
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        seen = []
+        for lanes in (["caller", "a"], ["caller", "a", "b"], ["caller", "a", "b", "c"]):
+            seen = []
 
-        def square(x, lane):
-            seen.append((lane, threading.get_ident()))
-            return x * x
+            def square(x, lane):
+                seen.append((lane, threading.get_ident()))
+                return x * x
 
-        assert _map_lanes(square, list(range(200)), ["caller", "helper"]) == [
-            x * x for x in range(200)]
-        assert {lane for lane, _ in seen} <= {"caller", "helper"}
-        assert len({ident for _, ident in seen}) == len({lane for lane, _ in seen})
-        assert _map_lanes(square, [3], ["caller", "helper"]) == [9]
+            assert _map_lanes(square, list(range(200)), lanes) == [x * x for x in range(200)]
+            threads = dict(seen)  # lane -> the one thread that used its scratch
+            assert set(threads) <= set(lanes) and len(threads) == len(set(seen))
+            assert len(set(threads.values())) == len(threads)
+            assert threads.get("caller", threading.get_ident()) == threading.get_ident()
+            assert _map_lanes(square, [3], lanes) == [9]
         assert _map_lanes(square, [1, 2], ["caller"]) == [1, 4]
     finally:
         sys.setswitchinterval(old)
+
+
+def test_map_lanes_starts_no_more_helpers_than_items_after_the_first(lane_starts):
+    lanes = ["caller", "a", "b", "c", "d"]
+    for items, helpers in (([1], 0), ([1, 2], 1), ([1, 2, 3], 2), (list(range(9)), 4)):
+        lane_starts.clear()
+        assert _map_lanes(lambda x, lane: -x, items, lanes) == [-x for x in items]
+        assert lane_starts == ["hopfsim-lane"] * helpers
 
 
 def test_map_lanes_raises_the_first_error_in_order_after_the_helper_is_done():
@@ -299,42 +275,36 @@ def test_map_lanes_raises_the_first_error_in_order_after_the_helper_is_done():
             raise GaplessPoint(f"item {x}")
         done.append(x)
 
-    for lanes in (["caller"], ["caller", "helper"]):
+    for lanes in (["caller"], ["caller", "a"], ["caller", "a", "b"], ["caller", "a", "b", "c"]):
         done.clear()
         with pytest.raises(GaplessPoint, match="item 5"):
             _map_lanes(item, list(range(40)), lanes)
         settled = list(done)
         assert set(range(5)) <= set(settled)
         time.sleep(0.05)
-        assert done == settled  # the helper was done before the error propagated
+        assert done == settled  # every helper was done before the error propagated
 
 
-def test_the_serial_path_never_starts_a_helper_thread(monkeypatch):
+def test_the_serial_path_never_starts_a_helper_thread(monkeypatch, lane_starts):
     # a mesh of one slab, or a process on one CPU, keeps the serial path
-    started = []
-
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self.name)
-            super().start()
-
-    monkeypatch.setattr(bzgrid.threading, "Thread", Counted)
     for n, cpus in ((6, 2), (25, 2), (26, 1), (26, 2)):
         monkeypatch.setattr(bzgrid, "_cpus", lambda: cpus)
         index_report(sample_state_field(HopfParams(2.0), MeshSpec(n)))
         if n < 26 or cpus < 2:
-            assert started == []
+            assert lane_starts == []
     # a helper for each pass of the sampler, for the links, the plaquettes,
     # the three stages of the connection solve and the re-centering
-    assert started == ["hopfsim-lane"] * 8
+    assert lane_starts == ["hopfsim-lane"] * 8
 
 
-def test_the_index_engine_never_imports_concurrent_futures():
+def test_the_package_never_imports_concurrent_futures():
+    # both threaded engines run on the plain threads of bzgrid._map_lanes
     script = """
 import sys
-from hopfsim import bzgrid, cli, invariants, model
+from hopfsim import adiabatic, bzgrid, cli, invariants, model
 bzgrid._cpus = lambda: 2
 invariants.index_report(bzgrid.sample_state_field(model.HopfParams(2.0), bzgrid.MeshSpec(26)))
+adiabatic.run_campaign(model.HopfParams(2.0), bzgrid.MeshSpec(6), photons_per_site=300, threads=2)
 print("concurrent.futures" in sys.modules)
 """
     src = os.path.dirname(os.path.dirname(bzgrid.__file__))

@@ -681,6 +681,22 @@ def test_epsilon_neighborhood_empty_for_tiny_eps():
     assert epsilon_neighborhood(f, target, 1e-9) == []
 
 
+# the 26 directions of {-1, 0, 1}^3 \ 0 on the sphere
+_DIRECTIONS = [np.array(d) / np.linalg.norm(d)
+               for d in itertools.product((-1, 0, 1), repeat=3) if any(d)]
+
+
+def test_epsilon_neighborhoods_reach_every_direction_in_the_hopf_phase():
+    # the ground states of the Hopf phase cover the whole Bloch sphere
+    f = sample_state_field(HopfParams(2.0), MeshSpec(10))
+    assert min(len(epsilon_neighborhood(f, d, 0.5)) for d in _DIRECTIONS) >= 8
+
+
+def test_epsilon_neighborhoods_miss_half_the_directions_in_the_trivial_phase():
+    f = sample_state_field(HopfParams(4.0), MeshSpec(10))
+    assert sum(epsilon_neighborhood(f, d, 0.5) == [] for d in _DIRECTIONS) == 13
+
+
 def test_epsilon_neighborhood_validation():
     f = sample_state_field(HopfParams(2.0), MeshSpec(6))
     with pytest.raises(ValueError):
