@@ -9,7 +9,10 @@ campaign runs that pipeline as array code over the mesh.  The drive phase
 is a frame rotation applied after the evolution, so a passage depends on
 its site only through its final (|Omega|, Delta); the ramp-up is shared by
 all passages, the detuning ramp by those with one final Delta, and the
-ramp-down is evolved once per distinct passage.  The steps are unit
+ramp-down is evolved once per passage.  Final controls are classed within
+``CONTROL_QUANTUM``: symmetric sites have equal controls that differ only by
+trig rounding (at most about 5e-15 OMEGA_MAX), so each class is one
+passage.  The steps are unit
 quaternions reduced by a pairwise tree, computed in a workspace of flat
 buffers that each lane of the campaign's thread map (``bzgrid._map_lanes``)
 owns for the whole campaign (at most ``SITE_CHUNK`` passages x the steps of
@@ -49,6 +52,12 @@ OMEGA_MAX = 2.0 * np.pi * 20.83e6  # rad/s, the peak Rabi frequency
 SEGMENT_DURATION = 500e-9  # s per linear ramp
 SAMPLE_RATE = 8e9  # Hz, waveform sampling
 DEFAULT_PHOTONS = 93_000
+
+# Final controls within one quantum are one passage.  Symmetric mesh sites
+# (kx <-> ky, k -> -k on an axis, ...) have equal controls in exact arithmetic
+# that differ by trig rounding, at most 5.2e-15 OMEGA_MAX over the meshes
+# checked; a class that straddles a rounding edge is evolved twice.
+CONTROL_QUANTUM = 1e-12 * OMEGA_MAX
 
 # Passages evolved together.  A campaign lane's workspace (``_Workspace``)
 # holds SITE_CHUNK x steps-per-segment steps, about 2 MB at the 4000 steps of
@@ -158,6 +167,14 @@ def build_schedule(k, params, segment_duration=SEGMENT_DURATION):
     return RampSchedule(phi=phi, delta_start=-OMEGA_MAX, delta_final=delta_final,
                         omega_peak=OMEGA_MAX, omega_final=omega_final,
                         segment_duration=segment_duration)
+
+
+def _snap(x):
+    """x (m,) with each value replaced by the first, in input order, of its
+    class round(x / CONTROL_QUANTUM)."""
+    _, first, inverse = np.unique(np.round(x / CONTROL_QUANTUM), return_index=True,
+                                  return_inverse=True)
+    return x[first][inverse]
 
 
 def _gapless(k):
@@ -281,7 +298,9 @@ def _propagators(omega_final, delta_final, seg=SEGMENT_DURATION, dt=1.0 / SAMPLE
     exp(i phi).
 
     Segments 1-2 are evolved once per distinct final detuning, then segment
-    3 once per passage, both in fixed chunks of ``SITE_CHUNK``.  The lanes
+    3 once per passage, both in fixed chunks of ``SITE_CHUNK``.  Values are
+    distinct when they differ at all: ``run_campaign`` merges controls that
+    differ by rounding before it calls this.  The lanes
     of ``_map_lanes``, ``workers`` at most, take whole chunks, and each lane
     owns one workspace for the whole call, in which it evolves all its
     chunks of both stages.  Chunks do not depend on ``workers``, so neither
@@ -560,11 +579,17 @@ def run_campaign(params, mesh, photons_per_site=DEFAULT_PHOTONS, seed=0,
                  threads=1):
     """Simulated tomography of every mesh site.
 
-    u(k) is evaluated once over the mesh.  Segments 1-2 of a passage depend
-    only on its final detuning, so each distinct detuning is evolved once,
-    then segment 3 once per distinct final-control pair (omega_final,
-    delta_final), both in fixed chunks of ``SITE_CHUNK``; every site takes
-    its passage's state rotated by its own drive phase.  The states are
+    u(k) is evaluated once over the mesh.  Each site's omega_final and
+    delta_final are replaced by the first value, in row-major site order, of
+    their class round(x / CONTROL_QUANTUM), so symmetric sites, whose
+    controls differ only by trig rounding (at most about 5e-15 OMEGA_MAX),
+    share one passage; a merged site's state moves by about 1e-13, below the
+    drift that the ramp-down's normalization removes.  Segments 1-2 of a
+    passage depend only on its final detuning, so each detuning class is
+    evolved once, then segment 3 once per class of final-control pairs
+    (omega_final, delta_final), both in fixed chunks of ``SITE_CHUNK``;
+    every site takes its passage's state rotated by its own drive phase.
+    The states are
     validated and measured as one batch, each site on its own random stream
     keyed by (seed, row-major site index); the MLE of ``mle_tomography`` and
     the fidelities run as arrays.  ``threads`` workers (0: one per CPU the
@@ -591,6 +616,7 @@ def run_campaign(params, mesh, photons_per_site=DEFAULT_PHOTONS, seed=0,
         raise HopfError("every site of the campaign failed")
     ok = np.flatnonzero(~gapless)
     omega_final, delta_final, phi = _final_controls(u[ok])
+    omega_final, delta_final = _snap(omega_final), _snap(delta_final)
     passages, inverse = np.unique(np.stack([omega_final, delta_final], axis=-1), axis=0,
                                   return_inverse=True)
     workers = min(threads or _cpus(), -(-len(passages) // SITE_CHUNK))

@@ -163,9 +163,12 @@ def test_criterion_7_epsilon_robustness():
 
 
 def test_criterion_8_fidelity_statistics(campaign_seed0):
-    # noiseless pipeline over the grid: each site's schedule, the distinct
-    # passages evolved once in one batch (test_batched_evolution_is_evolve
-    # checks that this is evolve(schedule, [1, 0]) bit for bit)
+    # noiseless pipeline over the grid: each site's schedule, each
+    # exact-distinct (omega_final, delta_final) pair evolved once in one batch
+    # (test_batched_evolution_is_evolve checks that this is evolve(schedule,
+    # [1, 0]) bit for bit).  The campaign merges pairs that differ only by
+    # rounding, so this route is the independent reference that check_mean
+    # holds the campaign's mean to at 1e-12
     finals = {}
     noiseless = []
     p = HopfParams(2.0)

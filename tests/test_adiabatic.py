@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hopfsim import adiabatic
 from hopfsim.adiabatic import (
+    CONTROL_QUANTUM,
     DEFAULT_PHOTONS,
     OMEGA_MAX,
     SEGMENT_DURATION,
@@ -544,7 +545,7 @@ def test_campaign_stats_shape():
 
 
 def test_campaign_threads_identical_across_many_chunks():
-    mesh = MeshSpec(6)  # 216 sites, 27 chunks
+    mesh = MeshSpec(10)  # 1000 sites: 11 passage chunks over 6 detuning chunks
     runs = [run_campaign(P2, mesh, photons_per_site=2000, seed=5, threads=t)
             for t in (1, 2, 0)]
     for other in runs[1:]:
@@ -553,17 +554,16 @@ def test_campaign_threads_identical_across_many_chunks():
 
 
 def test_campaign_caps_workers_at_chunks_and_rejects_negative_threads(lane_starts):
-    run_campaign(P2, MeshSpec(4), photons_per_site=300, seed=0, threads=12)
-    # the 64 sites make 25 distinct passages, 4 chunks and so 4 workers, over
-    # 18 distinct detunings, 3 chunks: each stage starts a helper per chunk
-    # after its first
-    assert lane_starts == ["hopfsim-lane"] * ((3 - 1) + (4 - 1))
+    run_campaign(P2, MeshSpec(6), photons_per_site=300, seed=0, threads=12)
+    # the 216 sites make 19 passages, 3 chunks and so 3 workers, over 10
+    # detunings, 2 chunks: each stage starts a helper per chunk after its first
+    assert lane_starts == ["hopfsim-lane"] * ((2 - 1) + (3 - 1))
     with pytest.raises(ValueError):
         run_campaign(P2, MeshSpec(4), photons_per_site=300, seed=0, threads=-1)
 
 
 def test_campaign_threads_0_takes_one_worker_per_usable_cpu(monkeypatch):
-    mesh = MeshSpec(6)  # 216 sites, 27 chunks
+    mesh = MeshSpec(6)  # 216 sites, 3 passage chunks
     serial = run_campaign(P2, mesh, photons_per_site=2000, seed=5, threads=1)
     used, real = [], adiabatic._propagators
 
@@ -577,13 +577,13 @@ def test_campaign_threads_0_takes_one_worker_per_usable_cpu(monkeypatch):
         result = run_campaign(P2, mesh, photons_per_site=2000, seed=5, threads=0)
         assert result.field.data.tobytes() == serial.field.data.tobytes()
         assert result.stats.per_site.tobytes() == serial.stats.per_site.tobytes()
-    assert used == [1, 3]  # min(cpus, 27 chunks)
+    assert used == [1, 3]  # min(cpus, 3 chunks)
 
 
 @pytest.mark.parametrize("h, n, photons, seed, threads, gapped", [
     # three gapless sites; the boundary share is over the other 61
     pytest.param(1.0, 4, 300, 2, 1, 61, id="gapless-sites"),
-    # 52 passages over 31 detunings, evolved on two workers
+    # 16 passages over 9 detunings (2 chunks each), evolved on two workers
     pytest.param(-2.0, 5, DEFAULT_PHOTONS, 3, 2, 125, id="shared-detunings"),
 ])
 def test_campaign_matches_per_site_route_and_counts_boundary_share(h, n, photons, seed,
@@ -607,8 +607,8 @@ def test_campaign_matches_per_site_route_and_counts_boundary_share(h, n, photons
 
 
 def test_campaign_evolves_each_distinct_passage_once(monkeypatch):
-    # segments 1-2 once per distinct final detuning, segment 3 once per
-    # distinct (omega_final, delta_final) pair
+    # segments 1-2 once per class of final detunings, segment 3 once per
+    # class of (omega_final, delta_final) pairs, classes within CONTROL_QUANTUM
     from hopfsim import adiabatic
 
     ramps, downs = [], []
@@ -626,13 +626,53 @@ def test_campaign_evolves_each_distinct_passage_once(monkeypatch):
     monkeypatch.setattr(adiabatic, "_detuning_ramps", counting_ramps)
     monkeypatch.setattr(adiabatic, "_ramp_downs", counting_downs)
     result = run_campaign(P2, MeshSpec(6), photons_per_site=300, seed=0)
-    assert sum(ramps) == 39 and max(ramps) <= SITE_CHUNK
-    assert sum(downs) == 65 and max(downs) <= SITE_CHUNK
+    assert sum(ramps) == 10 and max(ramps) <= SITE_CHUNK
+    assert sum(downs) == 19 and max(downs) <= SITE_CHUNK
     controls = {(s.omega_final, s.delta_final)
                 for s in (build_schedule(MeshSpec(6).site_k(site), P2)
                           for site in np.ndindex(6, 6, 6))}
     assert len(controls) == 65 and len({de for _, de in controls}) == 39
+    assert len({(round(om / CONTROL_QUANTUM), round(de / CONTROL_QUANTUM))
+                for om, de in controls}) == 19
     assert np.isfinite(result.stats.per_site).all()
+
+
+def test_snap_maps_each_value_to_the_first_of_its_class():
+    q = CONTROL_QUANTUM
+    x = np.array([5.2, 4.9, 7.0, 5.0, 6.6, 7.4, -0.3, 0.2]) * q
+    # classes 5, 5, 7, 5, 7, 7, 0, 0: the first member in input order, not the least
+    assert adiabatic._snap(x).tolist() == x[[0, 0, 2, 0, 2, 2, 6, 6]].tolist()
+    # one quantum apart stays apart, also at the scale of the controls
+    for x in (np.array([3.0, 4.0, 3.0]) * q, OMEGA_MAX + np.array([0.0, q, 0.4 * q])):
+        assert adiabatic._snap(x).tolist() == x[[0, 1, 0]].tolist()
+
+
+@pytest.mark.parametrize("h, n, seed", [
+    (h, n, seed) for n, seed in ((4, 0), (6, 1), (10, 2)) for h in (-3.5, -2.0, 0.5, 2.0)
+])
+def test_merged_passages_change_no_campaign_output(monkeypatch, h, n, seed):
+    # the route that evolves every exact-distinct (omega_final, delta_final)
+    # pair gives the same bytes, and every merged site's state lies within
+    # 1e-12 of its own exact passage
+    params, mesh = HopfParams(h), MeshSpec(n)
+    states = []
+    validate = adiabatic._validate_spinors
+
+    def recording(psi):
+        states.append(psi)
+        return validate(psi)
+
+    monkeypatch.setattr(adiabatic, "_validate_spinors", recording)
+    merged = run_campaign(params, mesh, photons_per_site=DEFAULT_PHOTONS, seed=seed)
+    monkeypatch.setattr(adiabatic, "_snap", lambda x: x)
+    exact = run_campaign(params, mesh, photons_per_site=DEFAULT_PHOTONS, seed=seed)
+    assert merged.field.data.tobytes() == exact.field.data.tobytes()
+    assert merged.stats.per_site.tobytes() == exact.stats.per_site.tobytes()
+    assert merged.stats.to_dict() == exact.stats.to_dict()
+    schedules = [build_schedule(mesh.site_k(site), params) for site in np.ndindex(n, n, n)]
+    own = evolved_from_zero(schedules)
+    assert np.abs(states[0] - own).max() < 1e-12
+    assert np.abs(states[1] - own).max() < 1e-12
 
 
 def test_campaign_draws_the_records_of_simulate_measurements(monkeypatch):
